@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime 2s
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
+	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime 2s
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime $(FUZZTIME)

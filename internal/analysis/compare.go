@@ -129,13 +129,18 @@ func Compare(rep *Report) Comparison {
 	}
 	claim("Teamwork has the weakest first-half correlation", lowestFirst)
 
-	// Tables 5 and 6.
-	for w, ranked := range map[string][]stats.RankedItem{
-		"Table5 first half":  rep.Table5.FirstHalf,
-		"Table5 second half": rep.Table5.SecondHalf,
-		"Table6 first half":  rep.Table6.FirstHalf,
-		"Table6 second half": rep.Table6.SecondHalf,
+	// Tables 5 and 6, in table order so the shape checks list the same
+	// way on every run.
+	for _, t := range []struct {
+		w      string
+		ranked []stats.RankedItem
+	}{
+		{"Table5 first half", rep.Table5.FirstHalf},
+		{"Table5 second half", rep.Table5.SecondHalf},
+		{"Table6 first half", rep.Table6.FirstHalf},
+		{"Table6 second half", rep.Table6.SecondHalf},
 	} {
+		w, ranked := t.w, t.ranked
 		pub := publishedRanking(w)
 		for _, item := range ranked {
 			add(fmt.Sprintf("%s %s composite", w, item.Name), pub[item.Name], item.Score)

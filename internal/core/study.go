@@ -46,9 +46,9 @@ type StageObserver func(stage string, elapsed time.Duration)
 
 // Study is a configured, runnable instance of the reproduction. Build
 // one with NewStudy and functional options, then call Run. A Study is
-// cheap to construct; the expensive seed-independent state (the
-// Beyerlein instrument, the calibrated response-model parameters) is
-// computed once per process and shared by every Study.
+// cheap to construct; the seed-independent state (the Beyerlein
+// instrument) is built once per process and shared by every Study, and
+// the calibrated response-model parameters come from a generated table.
 type Study struct {
 	cfg      StudyConfig
 	observer StageObserver
@@ -265,7 +265,7 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	}
 	start, sp = stageBegin(StageCalibration)
 	ins := sharedInstrument()
-	params, err := sharedParams(cfg.Calibrate)
+	params, err := studyParams(cfg.Calibrate)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration: %w", err)
 	}
@@ -326,24 +326,12 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	}, nil
 }
 
-// Seed-independent shared state: the instrument and the response-model
-// parameters do not depend on the study seed, yet the old facade
-// rebuilt (and for the ablation, re-derived) them on every run. Under
-// the engine's worker pool that would multiply the cost by the sweep
-// size, so they are computed once per process. The instrument is
-// treated as immutable by every consumer; Params values are handed to
-// respond.NewGenerator, which deep-copies before use.
+// The Beyerlein instrument does not depend on the study seed, so it is
+// built once per process and shared by every Study; every consumer
+// treats it as immutable.
 var (
 	insOnce   sync.Once
 	insShared *survey.Instrument
-
-	calOnce   sync.Once
-	calParams respond.Params
-	calErr    error
-
-	uncalOnce   sync.Once
-	uncalParams respond.Params
-	uncalErr    error
 )
 
 // sharedInstrument returns the process-wide Beyerlein instrument.
@@ -352,15 +340,13 @@ func sharedInstrument() *survey.Instrument {
 	return insShared
 }
 
-// sharedParams returns the process-wide response-model parameters for
-// the requested calibration mode. Concurrent first callers block on the
-// single calibration instead of racing to repeat it.
-func sharedParams(calibrate bool) (respond.Params, error) {
-	ins := sharedInstrument()
+// studyParams returns the response-model parameters for the requested
+// calibration mode. Both are cheap: the calibrated set is respond's
+// generated table, the uncalibrated one the calibration's starting
+// point.
+func studyParams(calibrate bool) (respond.Params, error) {
 	if calibrate {
-		calOnce.Do(func() { calParams, calErr = respond.PaperParams(ins) })
-		return calParams, calErr
+		return respond.PaperParams(sharedInstrument())
 	}
-	uncalOnce.Do(func() { uncalParams, uncalErr = respond.UncalibratedParams(ins) })
-	return uncalParams, uncalErr
+	return respond.UncalibratedParams(sharedInstrument())
 }

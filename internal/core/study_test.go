@@ -123,3 +123,26 @@ func TestSharedSeedIndependentState(t *testing.T) {
 		t.Fatal("instrument rebuilt per run instead of shared")
 	}
 }
+
+// studyAllocBudget bounds the heap allocations of one paper study. The
+// dense survey sheets, exact-size activity logs and generated
+// calibration table brought a study from ~26,400 allocations to under
+// 1,000; the budget leaves headroom for instrumentation while keeping a
+// per-item or per-event allocation from creeping back.
+const studyAllocBudget = 2000
+
+func TestStudyAllocationBudget(t *testing.T) {
+	cfg := PaperStudy()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > studyAllocBudget {
+		t.Fatalf("core.Run(PaperStudy()) made %.0f allocations, budget %d", allocs, studyAllocBudget)
+	}
+	t.Logf("core.Run(PaperStudy()): %.0f allocations (budget %d)", allocs, studyAllocBudget)
+}

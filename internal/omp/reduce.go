@@ -2,14 +2,23 @@ package omp
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
 // ForReduce is the reduction-clause loop ("when loops have
 // dependencies"): iterations are distributed per the schedule, each
-// thread folds its share into a private accumulator seeded with
-// identity, and the per-thread partials are combined in thread order —
-// so the final combine sequence is deterministic for any team size.
+// claimed chunk is folded into a private accumulator seeded with
+// identity, and the chunk partials are combined in iteration order.
+// Every schedule's chunk boundaries are a function of the range, the
+// team size and the chunk size alone — never of which thread claims a
+// chunk or when — so the combine sequence, and a float result, is
+// deterministic for a fixed team size even under dynamic, guided and
+// steal schedules. Under Static each thread's block is one chunk, so
+// the result is the classic per-thread reduction. A thread that claims
+// no chunk contributes its untouched private accumulator (identity)
+// after the chunk partials, in thread order; with a true identity that
+// is a no-op.
 //
 // combine must be associative with identity as its neutral element;
 // body(i, acc) returns the new private accumulator after iteration i.
@@ -19,32 +28,40 @@ func ForReduce[T any](lo, hi int, sched Schedule, identity T,
 	if combine == nil || body == nil {
 		return zero, fmt.Errorf("omp: ForReduce requires combine and body")
 	}
+	type partial struct {
+		start int
+		acc   T
+	}
 	var (
 		mu       sync.Mutex
-		partials map[int]T
+		partials []partial
 	)
 	err := Parallel(func(tc *ThreadContext) {
-		acc := identity
-		ferr := tc.For(lo, hi, sched, func(i int) {
-			acc = body(i, acc)
+		var mine []partial
+		ferr := tc.forChunks(lo, hi, sched, func(start, end int) {
+			acc := identity
+			for i := start; i < end; i++ {
+				acc = body(i, acc)
+			}
+			mine = append(mine, partial{start, acc})
 		})
 		if ferr != nil {
 			panic(ferr)
 		}
-		mu.Lock()
-		if partials == nil {
-			partials = make(map[int]T)
+		if len(mine) == 0 {
+			mine = append(mine, partial{hi + tc.ThreadNum(), identity})
 		}
-		partials[tc.ThreadNum()] = acc
+		mu.Lock()
+		partials = append(partials, mine...)
 		mu.Unlock()
 	}, opts...)
 	if err != nil {
 		return zero, err
 	}
+	sort.Slice(partials, func(a, b int) bool { return partials[a].start < partials[b].start })
 	result := identity
-	n := len(partials)
-	for tid := 0; tid < n; tid++ {
-		result = combine(result, partials[tid])
+	for _, p := range partials {
+		result = combine(result, p.acc)
 	}
 	return result, nil
 }

@@ -187,6 +187,16 @@ func validateSchedule(s Schedule) error {
 // (OpenMP's default; there is no nowait clause here). Every team member
 // must call For with identical arguments.
 func (tc *ThreadContext) For(lo, hi int, sched Schedule, body func(i int)) error {
+	return tc.forChunks(lo, hi, sched, func(start, end int) {
+		for i := start; i < end; i++ {
+			body(i)
+		}
+	})
+}
+
+// forChunks is For at chunk granularity: chunk runs once per claimed
+// chunk with its global index range [start, end).
+func (tc *ThreadContext) forChunks(lo, hi int, sched Schedule, chunk func(start, end int)) error {
 	if err := validateSchedule(sched); err != nil {
 		return err
 	}
@@ -224,15 +234,11 @@ func (tc *ThreadContext) For(lo, hi int, sched Schedule, body func(i int)) error
 		if tr != nil {
 			csp := tr.Span(obs.PIDOMP, tc.lane, "omp", "chunk").
 				Trace(tc.trace).Int("start", int64(lo+start)).Int("len", int64(length))
-			for i := start; i < start+length; i++ {
-				body(lo + i)
-			}
+			chunk(lo+start, lo+start+length)
 			csp.End()
 			continue
 		}
-		for i := start; i < start+length; i++ {
-			body(lo + i)
-		}
+		chunk(lo+start, lo+start+length)
 	}
 	lsp.End()
 	return tc.Barrier()

@@ -3,7 +3,6 @@ package respond
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pblparallel/internal/paperdata"
 	"pblparallel/internal/stats"
@@ -269,21 +268,22 @@ func UncalibratedParams(ins *survey.Instrument) (Params, error) {
 	return startingParams(ins, t), nil
 }
 
-var (
-	paperParamsOnce sync.Once
-	paperParams     Params
-	paperParamsErr  error
-)
+//go:generate go run gen_paperparams.go
+
+// PaperCalibrationSeed seeds the calibration behind PaperParams.
+const PaperCalibrationSeed int64 = 20190401
 
 // PaperParams returns parameters calibrated against the paper's published
-// moments with a fixed seed. The calibration is deterministic and cached
-// for the life of the process.
+// moments: the result of Calibrate(ins, PaperTargets(),
+// CalibrateOptions{Seed: PaperCalibrationSeed}) for the Beyerlein
+// instrument, precomputed by `go generate ./internal/respond` into
+// paperparams_table.go so that no process pays for the calibration at
+// start-up. A test reruns Calibrate and checks the table bit for bit.
+// Each call returns a fresh copy.
 func PaperParams(ins *survey.Instrument) (Params, error) {
-	paperParamsOnce.Do(func() {
-		paperParams, _, paperParamsErr = Calibrate(ins, PaperTargets(), CalibrateOptions{Seed: 20190401})
-	})
-	if paperParamsErr != nil {
-		return Params{}, paperParamsErr
+	p := paperParamsTable()
+	if err := p.Validate(ins); err != nil {
+		return Params{}, fmt.Errorf("respond: paper calibration table: %w", err)
 	}
-	return paperParams.clone(), nil
+	return p, nil
 }

@@ -99,16 +99,19 @@ func (p Params) Validate(ins *survey.Instrument) error {
 	}
 	for w, wp := range p.Waves {
 		for _, e := range ins.Elements {
-			for name, m := range map[string]map[string]float64{"EmphMu": wp.EmphMu, "GrowMu": wp.GrowMu, "Rho": wp.Rho} {
-				if _, ok := m[e.Name]; !ok {
-					return fmt.Errorf("respond: wave %d missing %s for %q", w, name, e.Name)
+			for _, m := range [...]struct {
+				name string
+				m    map[string]float64
+			}{{"EmphMu", wp.EmphMu}, {"GrowMu", wp.GrowMu}, {"Rho", wp.Rho}} {
+				if _, ok := m.m[e.Name]; !ok {
+					return fmt.Errorf("respond: wave %d missing %s for %q", w, m.name, e.Name)
 				}
 			}
 			if r := wp.Rho[e.Name]; math.Abs(r) > 0.999 {
 				return fmt.Errorf("respond: wave %d rho for %q is %v", w, e.Name, r)
 			}
 		}
-		for _, sd := range []float64{wp.EmphStudentSD, wp.GrowStudentSD, wp.SkillSDE, wp.SkillSDG} {
+		for _, sd := range [...]float64{wp.EmphStudentSD, wp.GrowStudentSD, wp.SkillSDE, wp.SkillSDG} {
 			if sd < 0 {
 				return fmt.Errorf("respond: wave %d has negative SD", w)
 			}
@@ -117,10 +120,22 @@ func (p Params) Validate(ins *survey.Instrument) error {
 	return nil
 }
 
+// elementParams are one element's latent-model parameters in one wave,
+// resolved from the name-keyed maps.
+type elementParams struct {
+	emphMu, growMu float64
+	// rho and rhoC are the emphasis↔growth correlation and its
+	// complement sqrt(1-rho²).
+	rho, rhoC float64
+}
+
 // Generator produces survey sheets from a parameterized model.
 type Generator struct {
 	ins    *survey.Instrument
 	params Params
+	// elems[w][e] holds wave w's parameters for element ordinal e,
+	// resolved once here instead of by name for every student.
+	elems [2][]elementParams
 }
 
 // NewGenerator builds a generator after validating the parameters.
@@ -128,7 +143,20 @@ func NewGenerator(ins *survey.Instrument, params Params) (*Generator, error) {
 	if err := params.Validate(ins); err != nil {
 		return nil, err
 	}
-	return &Generator{ins: ins, params: params.clone()}, nil
+	g := &Generator{ins: ins, params: params.clone()}
+	for w, wp := range g.params.Waves {
+		g.elems[w] = make([]elementParams, len(ins.Elements))
+		for i, e := range ins.Elements {
+			rho := wp.Rho[e.Name]
+			g.elems[w][i] = elementParams{
+				emphMu: wp.EmphMu[e.Name],
+				growMu: wp.GrowMu[e.Name],
+				rho:    rho,
+				rhoC:   math.Sqrt(1 - rho*rho),
+			}
+		}
+	}
+	return g, nil
 }
 
 // Params returns a copy of the generator's parameters.
@@ -142,62 +170,53 @@ func (g *Generator) Generate(n int, seed int64) (mid, end survey.WaveData, err e
 		return survey.WaveData{}, survey.WaveData{}, fmt.Errorf("respond: need n >= 2, got %d", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	mid = survey.WaveData{Wave: survey.MidSemester}
-	end = survey.WaveData{Wave: survey.EndOfTerm}
+	mid = survey.NewWave(g.ins, survey.MidSemester, n)
+	end = survey.NewWave(g.ins, survey.EndOfTerm, n)
 	gamma := g.params.StudentCrossWave
 	carry := math.Sqrt(1 - gamma*gamma)
 	for i := 0; i < n; i++ {
 		// Persistent student effects, correlated across categories.
 		basE := rng.NormFloat64()
 		basG := g.params.StudentRho*basE + math.Sqrt(1-g.params.StudentRho*g.params.StudentRho)*rng.NormFloat64()
-		for w, wave := range []survey.Wave{survey.MidSemester, survey.EndOfTerm} {
-			wp := g.params.Waves[w]
+		for w, wd := range [2]survey.WaveData{mid, end} {
+			wp := &g.params.Waves[w]
 			sE, sG := basE, basG
 			if w == 1 {
 				// Blend in wave-2-specific variation.
 				sE = gamma*basE + carry*rng.NormFloat64()
 				sG = gamma*basG + carry*rng.NormFloat64()
 			}
-			sheet := survey.NewSheet(i, wave)
-			for _, e := range g.ins.Elements {
-				rho := wp.Rho[e.Name]
+			sheet := wd.Sheets[i]
+			for e, ep := range g.elems[w] {
 				z1 := rng.NormFloat64()
-				z2 := rho*z1 + math.Sqrt(1-rho*rho)*rng.NormFloat64()
-				latE := wp.EmphMu[e.Name] + wp.EmphStudentSD*sE + wp.SkillSDE*z1
-				latG := wp.GrowMu[e.Name] + wp.GrowStudentSD*sG + wp.SkillSDG*z2
-				sheet.Set(survey.ClassEmphasis, e.Name, g.itemize(rng, latE, len(e.Components)))
-				sheet.Set(survey.PersonalGrowth, e.Name, g.itemize(rng, latG, len(e.Components)))
-			}
-			if w == 0 {
-				mid.Sheets = append(mid.Sheets, sheet)
-			} else {
-				end.Sheets = append(end.Sheets, sheet)
+				z2 := ep.rho*z1 + ep.rhoC*rng.NormFloat64()
+				latE := ep.emphMu + wp.EmphStudentSD*sE + wp.SkillSDE*z1
+				latG := ep.growMu + wp.GrowStudentSD*sG + wp.SkillSDG*z2
+				g.itemize(rng, latE, sheet.Items(survey.ClassEmphasis, e))
+				g.itemize(rng, latG, sheet.Items(survey.PersonalGrowth, e))
 			}
 		}
 	}
 	return mid, end, nil
 }
 
-// itemize converts a latent element level into discretized item scores.
-func (g *Generator) itemize(rng *rand.Rand, latent float64, nComponents int) survey.ElementResponse {
-	r := survey.ElementResponse{
-		Definition: likertize(latent + g.params.ItemSD*rng.NormFloat64()),
-		Components: make([]survey.Likert, nComponents),
+// itemize discretizes a latent element level into the element's item
+// scores, definition first.
+func (g *Generator) itemize(rng *rand.Rand, latent float64, items []survey.Likert) {
+	for i := range items {
+		items[i] = likertize(latent + g.params.ItemSD*rng.NormFloat64())
 	}
-	for i := range r.Components {
-		r.Components[i] = likertize(latent + g.params.ItemSD*rng.NormFloat64())
-	}
-	return r
 }
 
-// likertize rounds a continuous value onto the 1–5 scale.
+// likertize rounds a continuous value onto the 1–5 scale. It clamps
+// before converting, so no latent value can overflow the Likert type.
 func likertize(v float64) survey.Likert {
-	s := survey.Likert(math.Round(v))
-	if s < 1 {
-		s = 1
+	r := math.Round(v)
+	if r < 1 {
+		r = 1
 	}
-	if s > 5 {
-		s = 5
+	if r > 5 {
+		r = 5
 	}
-	return s
+	return survey.Likert(r)
 }

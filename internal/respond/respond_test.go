@@ -1,6 +1,7 @@
 package respond
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -314,5 +315,130 @@ func TestCalibrationUncalibratedIsWorse(t *testing.T) {
 	}
 	if eRaw, eCal := errOf(raw), errOf(cal); eCal >= eRaw {
 		t.Fatalf("calibrated error %.3f not below uncalibrated %.3f", eCal, eRaw)
+	}
+}
+
+// TestDenseAveragesMatchReference pins the dense sheet's integer-sum
+// averages to the float64 Kahan reference (stats.MustMean and
+// stats.CompositeScore over the name-keyed scores) bit for bit, on
+// generated waves of both response models.
+func TestDenseAveragesMatchReference(t *testing.T) {
+	ins := survey.NewBeyerlein()
+	cal, err := PaperParams(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncal, err := UncalibratedParams(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range []struct {
+		name   string
+		params Params
+		n      int
+		seed   int64
+	}{
+		{"calibrated paper cohort", cal, paperdata.NStudents, 20180896},
+		{"calibrated large", cal, 500, 7},
+		{"uncalibrated", uncal, 60, 11},
+		{"calibrated small", cal, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewGenerator(ins, tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid, end, err := g.Generate(tc.n, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, wd := range []survey.WaveData{mid, end} {
+				for _, c := range survey.Categories {
+					cats := wd.CategoryAverages(c)
+					for i, s := range wd.Sheets {
+						var all []float64
+						for _, e := range ins.Elements {
+							r, _ := s.Get(c, e.Name)
+							all = append(all, r.Scores()...)
+						}
+						if want := stats.MustMean(all); !same(cats[i], want) {
+							t.Fatalf("%v %v sheet %d: CategoryAverage %v, reference %v", wd.Wave, c, i, cats[i], want)
+						}
+					}
+					for _, e := range ins.Elements {
+						skills, err := wd.SkillAverages(c, e.Name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						comps := make([]float64, len(wd.Sheets))
+						for i, s := range wd.Sheets {
+							r, _ := s.Get(c, e.Name)
+							scores := r.Scores()
+							if want := stats.MustMean(scores); !same(skills[i], want) {
+								t.Fatalf("%v %v %q sheet %d: SkillAverage %v, reference %v", wd.Wave, c, e.Name, i, skills[i], want)
+							}
+							if comps[i], err = stats.CompositeScore(scores[0], scores[1:]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got, err := wd.CompositeMean(c, e.Name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := stats.MustMean(comps); !same(got, want) {
+							t.Fatalf("%v %v %q: CompositeMean %v, reference %v", wd.Wave, c, e.Name, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPaperParamsMatchCalibrate reruns the paper calibration and checks
+// the generated table behind PaperParams against it in every float's
+// bits. On failure, regenerate the table: go generate ./internal/respond
+func TestPaperParamsMatchCalibrate(t *testing.T) {
+	ins := survey.NewBeyerlein()
+	got, err := PaperParams(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Calibrate(ins, PaperTargets(), CalibrateOptions{Seed: 20190401})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(field string, g, w float64) {
+		t.Helper()
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: table %v (%#x), Calibrate %v (%#x)", field, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	check("StudentCrossWave", got.StudentCrossWave, want.StudentCrossWave)
+	check("StudentRho", got.StudentRho, want.StudentRho)
+	check("ItemSD", got.ItemSD, want.ItemSD)
+	for w := range want.Waves {
+		gw, ww := got.Waves[w], want.Waves[w]
+		check(fmt.Sprintf("Waves[%d].EmphStudentSD", w), gw.EmphStudentSD, ww.EmphStudentSD)
+		check(fmt.Sprintf("Waves[%d].GrowStudentSD", w), gw.GrowStudentSD, ww.GrowStudentSD)
+		check(fmt.Sprintf("Waves[%d].SkillSDE", w), gw.SkillSDE, ww.SkillSDE)
+		check(fmt.Sprintf("Waves[%d].SkillSDG", w), gw.SkillSDG, ww.SkillSDG)
+		for _, m := range []struct {
+			name   string
+			gm, wm map[string]float64
+		}{{"EmphMu", gw.EmphMu, ww.EmphMu}, {"GrowMu", gw.GrowMu, ww.GrowMu}, {"Rho", gw.Rho, ww.Rho}} {
+			if len(m.gm) != len(m.wm) {
+				t.Errorf("Waves[%d].%s: table has %d entries, Calibrate %d", w, m.name, len(m.gm), len(m.wm))
+			}
+			for k, wv := range m.wm {
+				gv, ok := m.gm[k]
+				if !ok {
+					t.Errorf("Waves[%d].%s[%q] missing from the table", w, m.name, k)
+					continue
+				}
+				check(fmt.Sprintf("Waves[%d].%s[%q]", w, m.name, k), gv, wv)
+			}
+		}
 	}
 }

@@ -73,6 +73,10 @@ type runParams struct {
 	Uncalibrated bool `json:"uncalibrated"`
 }
 
+// maxRunStudents caps the /v1/run cohort size before anything is
+// allocated for it: ~80x the paper's 124-student cohort.
+const maxRunStudents = 10_000
+
 // normalizeRun resolves defaults into the paper's values and validates,
 // returning the resolved study config alongside the normalized params.
 // Normalization happens before hashing so that an omitted seed and the
@@ -88,6 +92,9 @@ func normalizeRun(p runParams) (runParams, core.StudyConfig, error) {
 	}
 	if p.Students%2 != 0 || p.Students < 10 {
 		return p, cfg, fmt.Errorf("students %d: must be even and >= 10", p.Students)
+	}
+	if p.Students > maxRunStudents {
+		return p, cfg, fmt.Errorf("students %d outside [10, %d]", p.Students, maxRunStudents)
 	}
 	// The same derivation core.WithCohortSize applies: n/5 females
 	// overall, n/10 of them in section 1.

@@ -50,6 +50,10 @@ func getHdr(t testing.TB, ts *httptest.Server, path string, header map[string]st
 func TestDebugSchedSnapshot(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	post(t, ts, "/v1/run", `{"seed": 1}`, nil)
+	// A worker counts its job completed only after the job has handed
+	// the response over. Draining the pool waits for the workers to
+	// exit, so the snapshot below cannot race that increment.
+	s.Close()
 
 	resp, body := get(t, ts, ts.URL+"/debug/sched")
 	if resp.StatusCode != http.StatusOK {
@@ -74,7 +78,6 @@ func TestDebugSchedSnapshot(t *testing.T) {
 	if snap.Completed < 1 {
 		t.Errorf("completed = %d after a run, want >= 1", snap.Completed)
 	}
-	_ = s
 }
 
 // TestDebugSchedConcurrentHammer reads /debug/sched from 8 goroutines

@@ -400,10 +400,11 @@ func TestRequestValidation(t *testing.T) {
 		path, body string
 		want       int
 	}{
-		{"/v1/run", `{"sed": 1}`, http.StatusBadRequest},        // unknown field (typo must not hash to defaults)
-		{"/v1/run", `{"students": 13}`, http.StatusBadRequest},  // odd cohort
-		{"/v1/sweep", `{"seeds": 2}`, http.StatusBadRequest},    // below minimum
-		{"/v1/sweep", `{"seeds": 5000}`, http.StatusBadRequest}, // above MaxSweepSeeds
+		{"/v1/run", `{"sed": 1}`, http.StatusBadRequest},          // unknown field (typo must not hash to defaults)
+		{"/v1/run", `{"students": 13}`, http.StatusBadRequest},    // odd cohort
+		{"/v1/run", `{"students": 10002}`, http.StatusBadRequest}, // above maxRunStudents
+		{"/v1/sweep", `{"seeds": 2}`, http.StatusBadRequest},      // below minimum
+		{"/v1/sweep", `{"seeds": 5000}`, http.StatusBadRequest},   // above MaxSweepSeeds
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.path, tc.body, nil)
@@ -427,6 +428,31 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/run = %d, want 405", resp.StatusCode)
+	}
+}
+
+func TestNormalizeRunStudentsBounds(t *testing.T) {
+	for _, tc := range []struct {
+		students int
+		ok       bool
+	}{
+		{0, true}, // the paper's 124
+		{8, false},
+		{10, true},
+		{13, false},
+		{maxRunStudents, true},
+		{maxRunStudents + 1, false},
+		{maxRunStudents + 2, false},
+		{1 << 40, false},
+	} {
+		p, cfg, err := normalizeRun(runParams{Students: tc.students})
+		if (err == nil) != tc.ok {
+			t.Errorf("students %d: err = %v, want ok=%v", tc.students, err, tc.ok)
+			continue
+		}
+		if err == nil && cfg.Cohort.NStudents != p.Students {
+			t.Errorf("students %d: cohort size %d, normalized %d", tc.students, cfg.Cohort.NStudents, p.Students)
+		}
 	}
 }
 

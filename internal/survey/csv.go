@@ -28,13 +28,9 @@ func WriteCSV(w io.Writer, ins *Instrument, wd WaveData) error {
 		return err
 	}
 	for _, sheet := range wd.Sheets {
-		for _, e := range ins.Elements {
+		for ei, e := range ins.Elements {
 			for _, c := range Categories {
-				r, ok := sheet.Get(c, e.Name)
-				if !ok {
-					return fmt.Errorf("survey: sheet %d missing %q", sheet.StudentID, e.Name)
-				}
-				for i, score := range r.Scores() {
+				for i, score := range sheet.Items(c, ei) {
 					rec := []string{
 						strconv.Itoa(sheet.StudentID),
 						strconv.Itoa(int(sheet.Wave)),
@@ -98,33 +94,25 @@ func ReadCSV(r io.Reader, ins *Instrument, wave Wave) (WaveData, error) {
 		if catN != int(ClassEmphasis) && catN != int(PersonalGrowth) {
 			return WaveData{}, fmt.Errorf("survey: csv line %d: bad category %d", line, catN)
 		}
-		el, err := ins.Element(element)
+		ei, err := ins.ordinal(element)
 		if err != nil {
 			return WaveData{}, fmt.Errorf("survey: csv line %d: %w", line, err)
 		}
-		if item < 0 || item > len(el.Components) {
+		if item < 0 || item >= ins.Elements[ei].NItems() {
 			return WaveData{}, fmt.Errorf("survey: csv line %d: item %d of %q out of range", line, item, element)
+		}
+		if score < 1 || score > 5 {
+			return WaveData{}, fmt.Errorf("survey: csv line %d: score %d off the 1-5 scale", line, score)
 		}
 		sheet, ok := sheets[student]
 		if !ok {
-			sheet = NewSheet(student, wave)
-			// Pre-size every element response so items can land in any
-			// order.
-			for _, e := range ins.Elements {
-				for _, c := range Categories {
-					sheet.Set(c, e.Name, ElementResponse{Components: make([]Likert, len(e.Components))})
-				}
-			}
+			// A new sheet starts unanswered, so items can land in any
+			// order and Validate rejects any left out.
+			sheet = NewSheet(ins, student, wave)
 			sheets[student] = sheet
 			order = append(order, student)
 		}
-		resp, _ := sheet.Get(Category(catN), element)
-		if item == 0 {
-			resp.Definition = Likert(score)
-		} else {
-			resp.Components[item-1] = Likert(score)
-		}
-		sheet.Set(Category(catN), element, resp)
+		sheet.Items(Category(catN), ei)[item] = Likert(score)
 	}
 	wd := WaveData{Wave: wave}
 	for _, id := range order {

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-func csvWave(t *testing.T) WaveData {
+func csvWave(t testing.TB) WaveData {
 	t.Helper()
 	ins := NewBeyerlein()
 	wd := WaveData{Wave: MidSemester}
 	for id := 0; id < 3; id++ {
-		s := NewSheet(id, MidSemester)
+		s := NewSheet(ins, id, MidSemester)
 		for ei, e := range ins.Elements {
 			comps := make([]Likert, len(e.Components))
 			for i := range comps {
@@ -80,7 +80,7 @@ func TestCSVHasHeaderAndRowCount(t *testing.T) {
 
 func TestWriteCSVValidates(t *testing.T) {
 	ins := NewBeyerlein()
-	bad := WaveData{Wave: MidSemester, Sheets: []*Sheet{NewSheet(0, MidSemester)}}
+	bad := WaveData{Wave: MidSemester, Sheets: []*Sheet{NewSheet(ins, 0, MidSemester)}}
 	var b strings.Builder
 	if err := WriteCSV(&b, ins, bad); err == nil {
 		t.Fatal("incomplete sheet accepted")
@@ -122,5 +122,22 @@ func TestReadCSVOffScaleScoreRejected(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader(corrupted), ins, MidSemester); err == nil {
 		t.Fatal("off-scale score accepted")
+	}
+}
+
+func TestReadCSVRejectsUnansweredItem(t *testing.T) {
+	// Dropping one row leaves a single unanswered (zero) item on an
+	// otherwise complete dense sheet; the import must still fail.
+	ins := NewBeyerlein()
+	var b strings.Builder
+	if err := WriteCSV(&b, ins, csvWave(t)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(b.String(), "\n")
+	for _, drop := range []int{1, len(lines) / 2, len(lines) - 2} {
+		src := strings.Join(append(append([]string(nil), lines[:drop]...), lines[drop+1:]...), "")
+		if _, err := ReadCSV(strings.NewReader(src), ins, MidSemester); err == nil {
+			t.Fatalf("import without line %d accepted", drop+1)
+		}
 	}
 }

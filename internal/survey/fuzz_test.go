@@ -3,12 +3,15 @@ package survey
 import (
 	"math"
 	"testing"
+
+	"pblparallel/internal/stats"
 )
 
 // FuzzSurveyScores drives the Beyerlein composite with arbitrary
 // response bytes mapped onto the 1–5 Likert scale: the composite of
-// any valid response must be a finite value inside the scale, and a
-// response with no component items must error rather than produce NaN.
+// any valid response must be a finite value inside the scale, bit-equal
+// to the stats reference over the same scores, and a response with no
+// component items must error rather than produce NaN.
 func FuzzSurveyScores(f *testing.F) {
 	f.Add(byte(3), []byte{1, 2, 3})
 	f.Add(byte(5), []byte{5, 5, 5, 5})
@@ -39,6 +42,22 @@ func FuzzSurveyScores(f *testing.F) {
 		}
 		if avg := er.Average(); math.IsNaN(avg) || avg < 1 || avg > 5 {
 			t.Fatalf("average %v outside the 1-5 scale", avg)
+		}
+		// The integer-sum averages must be bit-equal to the Kahan
+		// reference over the same scores as float64s.
+		ref := make([]float64, len(er.Components))
+		for i, c := range er.Components {
+			ref[i] = float64(c)
+		}
+		wantComp, err := stats.CompositeScore(float64(er.Definition), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(wantComp) {
+			t.Fatalf("Composite = %v, reference %v", got, wantComp)
+		}
+		if avg, want := er.Average(), stats.MustMean(er.Scores()); math.Float64bits(avg) != math.Float64bits(want) {
+			t.Fatalf("Average = %v, reference %v", avg, want)
 		}
 	})
 }

@@ -85,10 +85,66 @@ type Element struct {
 // plus components).
 func (e Element) NItems() int { return 1 + len(e.Components) }
 
-// Instrument is a full survey form.
+// Instrument is a full survey form. Build one with NewInstrument; its
+// elements are fixed from then on, because sheets lay their scores out
+// by the item offsets computed there.
 type Instrument struct {
 	Title    string
 	Elements []Element
+	// offsets[e] is element e's first item within one category's block
+	// of a sheet; the final entry is the item count per category.
+	offsets []int
+}
+
+// NewInstrument builds an instrument and computes its sheet layout.
+func NewInstrument(title string, elements []Element) *Instrument {
+	return &Instrument{Title: title, Elements: elements, offsets: itemOffsets(elements)}
+}
+
+// itemOffsets computes the per-category item offset of each element.
+func itemOffsets(elements []Element) []int {
+	offsets := make([]int, len(elements)+1)
+	for i, e := range elements {
+		offsets[i+1] = offsets[i] + e.NItems()
+	}
+	return offsets
+}
+
+// layout returns the item offsets, computing them for an instrument
+// built as a literal rather than by NewInstrument.
+func (ins *Instrument) layout() []int {
+	if len(ins.offsets) == len(ins.Elements)+1 {
+		return ins.offsets
+	}
+	return itemOffsets(ins.Elements)
+}
+
+// index resolves an element name to its ordinal.
+func (ins *Instrument) index(name string) (int, bool) {
+	for i, e := range ins.Elements {
+		if e.Name == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// sameLayout reports whether sheets laid out for ins and for other
+// place every item at the same offset under the same element name.
+func (ins *Instrument) sameLayout(other *Instrument) bool {
+	if ins == other {
+		return true
+	}
+	if len(ins.Elements) != len(other.Elements) {
+		return false
+	}
+	for i, e := range ins.Elements {
+		o := other.Elements[i]
+		if e.Name != o.Name || e.NItems() != o.NItems() {
+			return false
+		}
+	}
+	return true
 }
 
 // NewBeyerlein constructs the instrument the paper administered. The
@@ -96,9 +152,8 @@ type Instrument struct {
 // follow the Beyerlein et al. (ASEE 2005) design of a definition item and
 // three to four performance indicators.
 func NewBeyerlein() *Instrument {
-	return &Instrument{
-		Title: "Team Design Skills Growth Survey",
-		Elements: []Element{
+	return NewInstrument("Team Design Skills Growth Survey",
+		[]Element{
 			{
 				Name:       paperdata.Teamwork,
 				Definition: "Individuals participate effectively in groups or teams.",
@@ -164,18 +219,25 @@ func NewBeyerlein() *Instrument {
 					"Individuals use figures, code excerpts, and data to support explanations.",
 				},
 			},
-		},
-	}
+		})
 }
 
 // Element returns the named element, or an error naming the valid set.
 func (ins *Instrument) Element(name string) (Element, error) {
-	for _, e := range ins.Elements {
-		if e.Name == name {
-			return e, nil
-		}
+	i, err := ins.ordinal(name)
+	if err != nil {
+		return Element{}, err
 	}
-	return Element{}, fmt.Errorf("survey: unknown element %q (have %s)", name, strings.Join(ins.ElementNames(), ", "))
+	return ins.Elements[i], nil
+}
+
+// ordinal resolves an element name to its ordinal, or an error naming
+// the valid set.
+func (ins *Instrument) ordinal(name string) (int, error) {
+	if i, ok := ins.index(name); ok {
+		return i, nil
+	}
+	return 0, fmt.Errorf("survey: unknown element %q (have %s)", name, strings.Join(ins.ElementNames(), ", "))
 }
 
 // ElementNames lists the element names in presentation order.
@@ -190,9 +252,6 @@ func (ins *Instrument) ElementNames() []string {
 // TotalItems returns the number of scored items on the whole form for one
 // category (each item is scored once per category).
 func (ins *Instrument) TotalItems() int {
-	n := 0
-	for _, e := range ins.Elements {
-		n += e.NItems()
-	}
-	return n
+	offsets := ins.layout()
+	return offsets[len(offsets)-1]
 }

@@ -137,7 +137,7 @@ func TestCompositeEmptyComponents(t *testing.T) {
 
 func fullSheet(t *testing.T, ins *Instrument, id int, wave Wave, score Likert) *Sheet {
 	t.Helper()
-	s := NewSheet(id, wave)
+	s := NewSheet(ins, id, wave)
 	for _, e := range ins.Elements {
 		comps := make([]Likert, len(e.Components))
 		for i := range comps {
@@ -160,25 +160,32 @@ func TestSheetValidateComplete(t *testing.T) {
 func TestSheetValidateCatchesMissingElement(t *testing.T) {
 	ins := NewBeyerlein()
 	s := fullSheet(t, ins, 1, MidSemester, 4)
-	delete(s.Emphasis, paperdata.Teamwork)
-	if err := s.Validate(ins); err == nil {
-		t.Fatal("expected missing-element error")
+	// A dense sheet marks a missing element as all-unanswered items.
+	if err := s.Set(ClassEmphasis, paperdata.Teamwork, ElementResponse{Components: make([]Likert, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(ins); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("expected missing-element error, got %v", err)
 	}
 }
 
 func TestSheetValidateCatchesOffScale(t *testing.T) {
 	ins := NewBeyerlein()
 	s := fullSheet(t, ins, 1, MidSemester, 4)
-	r := s.Emphasis[paperdata.Teamwork]
+	r, _ := s.Get(ClassEmphasis, paperdata.Teamwork)
 	r.Definition = 6
-	s.Emphasis[paperdata.Teamwork] = r
+	if err := s.Set(ClassEmphasis, paperdata.Teamwork, r); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Validate(ins); err == nil {
 		t.Fatal("expected off-scale error")
 	}
 	r.Definition = 4
 	r.Components = append([]Likert(nil), r.Components...)
 	r.Components[0] = 0
-	s.Emphasis[paperdata.Teamwork] = r
+	if err := s.Set(ClassEmphasis, paperdata.Teamwork, r); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Validate(ins); err == nil {
 		t.Fatal("expected off-scale component error")
 	}
@@ -187,10 +194,22 @@ func TestSheetValidateCatchesOffScale(t *testing.T) {
 func TestSheetValidateCatchesWrongComponentCount(t *testing.T) {
 	ins := NewBeyerlein()
 	s := fullSheet(t, ins, 1, MidSemester, 4)
-	r := s.Growth[paperdata.Communication]
+	// A dense sheet cannot hold a short response: Set rejects it and
+	// leaves the sheet as it was.
+	r, _ := s.Get(PersonalGrowth, paperdata.Communication)
 	r.Components = r.Components[:1]
-	s.Growth[paperdata.Communication] = r
-	if err := s.Validate(ins); err == nil {
+	if err := s.Set(PersonalGrowth, paperdata.Communication, r); err == nil {
+		t.Fatal("Set accepted a short response")
+	}
+	if err := s.Validate(ins); err != nil {
+		t.Fatal(err)
+	}
+	// Validating against an instrument whose element has a different
+	// component count is a layout mismatch.
+	elems := append([]Element(nil), ins.Elements...)
+	last := len(elems) - 1
+	elems[last].Components = elems[last].Components[:1]
+	if err := s.Validate(NewInstrument(ins.Title, elems)); err == nil {
 		t.Fatal("expected component-count error")
 	}
 }
@@ -300,14 +319,22 @@ func TestRenderInstrument(t *testing.T) {
 }
 
 func TestGetSetRoundTrip(t *testing.T) {
-	s := NewSheet(3, MidSemester)
-	er := ElementResponse{Definition: 2, Components: []Likert{3, 4}}
-	s.Set(PersonalGrowth, "X", er)
-	got, ok := s.Get(PersonalGrowth, "X")
-	if !ok || got.Definition != 2 || len(got.Components) != 2 {
+	s := NewSheet(NewBeyerlein(), 3, MidSemester)
+	er := ElementResponse{Definition: 2, Components: []Likert{3, 4, 5, 1}}
+	if err := s.Set(PersonalGrowth, paperdata.Teamwork, er); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(PersonalGrowth, paperdata.Teamwork)
+	if !ok || got.Definition != 2 || len(got.Components) != 4 || got.Components[3] != 1 {
 		t.Fatalf("roundtrip = %+v ok=%v", got, ok)
 	}
-	if _, ok := s.Get(ClassEmphasis, "X"); ok {
+	if other, _ := s.Get(ClassEmphasis, paperdata.Teamwork); other.Definition != 0 {
 		t.Fatal("category bleed-through")
+	}
+	if err := s.Set(PersonalGrowth, "X", er); err == nil {
+		t.Fatal("Set accepted an element not on the instrument")
+	}
+	if _, ok := s.Get(PersonalGrowth, "X"); ok {
+		t.Fatal("Get found an element not on the instrument")
 	}
 }

@@ -8,6 +8,7 @@ package teamwork
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // Channel is one of the four required technologies.
-type Channel int
+type Channel uint8
 
 const (
 	Slack Channel = iota
@@ -69,8 +70,8 @@ const (
 	EventVideoCut EventKind = "video-upload"
 )
 
-// kindFor maps each channel to its activity unit.
-func kindFor(c Channel) EventKind {
+// Kind maps the channel to its activity unit.
+func (c Channel) Kind() EventKind {
 	switch c {
 	case Slack:
 		return EventMessage
@@ -83,13 +84,16 @@ func kindFor(c Channel) EventKind {
 	}
 }
 
-// Event is one logged activity.
+// Event is one logged activity: 12 bytes and no pointers, so a
+// semester's log is one flat array the garbage collector never scans.
 type Event struct {
-	Week    int
+	Week    int32
 	Channel Channel
-	Student int
-	Kind    EventKind
+	Student int32
 }
+
+// Kind is the event's activity unit, derived from its channel.
+func (e Event) Kind() EventKind { return e.Channel.Kind() }
 
 // Log is a team's activity record for the semester.
 type Log struct {
@@ -102,7 +106,7 @@ func (l *Log) CountBy(channel Channel) map[int]int {
 	out := map[int]int{}
 	for _, e := range l.Events {
 		if e.Channel == channel {
-			out[e.Student]++
+			out[int(e.Student)]++
 		}
 	}
 	return out
@@ -114,7 +118,7 @@ func (l *Log) Participation() map[int]float64 {
 	counts := map[int]int{}
 	total := 0
 	for _, e := range l.Events {
-		counts[e.Student]++
+		counts[int(e.Student)]++
 		total++
 	}
 	if total == 0 {
@@ -132,14 +136,23 @@ func (l *Log) Participation() map[int]float64 {
 // (1 + aptitude/4), so stronger engagement produces more events — the
 // signal the peer ratings pick up.
 func SimulateTeamActivity(tm teams.Team, weeks int, seed int64) (*Log, error) {
-	if weeks < 1 {
+	if weeks < 1 || weeks > math.MaxInt32 {
 		return nil, fmt.Errorf("teamwork: %d weeks", weeks)
 	}
 	if tm.Size() == 0 {
 		return nil, fmt.Errorf("teamwork: empty team %d", tm.ID)
 	}
+	for _, m := range tm.Members {
+		if m.ID < math.MinInt32 || m.ID > math.MaxInt32 {
+			return nil, fmt.Errorf("teamwork: team %d member ID %d outside the event log's int32 range", tm.ID, m.ID)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed ^ int64(tm.ID)<<17))
-	log := &Log{TeamID: tm.ID}
+	// First pass: draw every (week, member, channel) event count in the
+	// order the RNG has always been consumed, so the log can be
+	// allocated at its exact size before the second pass fills it.
+	counts := make([]int32, 0, weeks*tm.Size()*len(Channels))
+	total := 0
 	for week := 1; week <= weeks; week++ {
 		for _, m := range tm.Members {
 			rate := 1 + m.Aptitude/4
@@ -147,20 +160,32 @@ func SimulateTeamActivity(tm teams.Team, weeks int, seed int64) (*Log, error) {
 				rate = 0.1
 			}
 			for _, ch := range Channels {
-				// Base weekly events per channel: Slack chatter is the
-				// most frequent, video uploads the rarest.
-				base := map[Channel]float64{Slack: 6, GitHub: 3, GoogleDocs: 2, YouTube: 0.3}[ch]
-				n := int(base*rate + rng.Float64())
-				for k := 0; k < n; k++ {
-					log.Events = append(log.Events, Event{
-						Week: week, Channel: ch, Student: m.ID, Kind: kindFor(ch),
-					})
+				n := int(channelBase[ch]*rate + rng.Float64())
+				counts = append(counts, int32(n))
+				total += n
+			}
+		}
+	}
+	log := &Log{TeamID: tm.ID, Events: make([]Event, 0, total)}
+	next := 0
+	for week := 1; week <= weeks; week++ {
+		for _, m := range tm.Members {
+			for _, ch := range Channels {
+				ev := Event{Week: int32(week), Channel: ch, Student: int32(m.ID)}
+				for k := int32(0); k < counts[next]; k++ {
+					log.Events = append(log.Events, ev)
 				}
+				next++
 			}
 		}
 	}
 	return log, nil
 }
+
+// channelBase is each channel's base weekly event count, indexed like
+// Channels: Slack chatter is the most frequent, video uploads the
+// rarest.
+var channelBase = [...]float64{Slack: 6, GitHub: 3, GoogleDocs: 2, YouTube: 0.3}
 
 // GroundRules returns the Teamwork Basics norms of Assignment 1.
 func GroundRules() map[string][]string {
@@ -195,7 +220,7 @@ func GroundRules() map[string][]string {
 func (l *Log) sortedStudents() []int {
 	set := map[int]bool{}
 	for _, e := range l.Events {
-		set[e.Student] = true
+		set[int(e.Student)] = true
 	}
 	out := make([]int, 0, len(set))
 	for s := range set {

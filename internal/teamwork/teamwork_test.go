@@ -259,3 +259,41 @@ func TestHigherAptitudeEarnsMoreActivity(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateAllocationsIndependentOfEvents requires the activity log
+// to be built at its exact size: the allocation count must not grow
+// with the number of events simulated.
+func TestSimulateAllocationsIndependentOfEvents(t *testing.T) {
+	tm := sampleTeam(t)
+	measure := func(weeks int) (allocs float64, events int) {
+		log, err := SimulateTeamActivity(tm, weeks, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(10, func() {
+			if _, err := SimulateTeamActivity(tm, weeks, 5); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, len(log.Events)
+	}
+	baseAllocs, baseEvents := measure(1)
+	for _, weeks := range []int{15, 150} {
+		allocs, events := measure(weeks)
+		if events <= baseEvents {
+			t.Fatalf("%d weeks produced %d events, not more than 1 week's %d", weeks, events, baseEvents)
+		}
+		if allocs > baseAllocs {
+			t.Fatalf("%d events took %.0f allocations, %d events took %.0f", events, allocs, baseEvents, baseAllocs)
+		}
+	}
+}
+
+func TestEventKindFollowsChannel(t *testing.T) {
+	want := map[Channel]EventKind{Slack: EventMessage, GitHub: EventCommit, GoogleDocs: EventDocEdit, YouTube: EventVideoCut}
+	for ch, kind := range want {
+		if got := (Event{Channel: ch}).Kind(); got != kind {
+			t.Fatalf("%v event kind %q, want %q", ch, got, kind)
+		}
+	}
+}

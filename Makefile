@@ -51,7 +51,7 @@ golden:
 ## fuzz-smoke: 2s of coverage-guided fuzzing per target — enough to
 ## exercise the corpora plus a few thousand mutations in CI.
 fuzz-smoke:
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime 2s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime 2s
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime 2s
@@ -63,7 +63,7 @@ fuzz-smoke:
 ## nightly workflow with FUZZTIME=5m.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)

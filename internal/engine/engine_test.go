@@ -230,7 +230,7 @@ func TestMetrics(t *testing.T) {
 		if h.N != n {
 			t.Fatalf("stage %q observed %d times, want %d", stage, h.N, n)
 		}
-		if q := h.Quantile(0.5); q < h.Min {
+		if q := seconds(h.hist.Quantile(0.5)); q < h.Min {
 			t.Fatalf("stage %q median %v below min %v", stage, q, h.Min)
 		}
 	}

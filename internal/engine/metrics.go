@@ -10,162 +10,59 @@ import (
 
 	"pblparallel/internal/core"
 	"pblparallel/internal/obs"
-	"pblparallel/internal/sched"
 )
 
-// histBounds are the wall-time histogram bucket upper bounds; a final
-// overflow bucket catches everything above the last bound.
-var histBounds = []time.Duration{
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-	2500 * time.Millisecond,
-	5 * time.Second,
-	10 * time.Second,
-}
-
-// Histogram is a fixed-bucket wall-time histogram. It records exact
-// count/sum/min/max alongside the buckets, so means are exact and only
-// quantiles are bucket-resolution estimates.
+// Histogram is a time.Duration view of one obs.Hist snapshot: the
+// count, sum, min and max of the observed wall times.
 type Histogram struct {
-	Counts   []int64 // len(histBounds)+1; last bucket is overflow
 	N        int64
 	Sum      time.Duration
 	Min, Max time.Duration
+	hist     obs.HistSnapshot
 }
 
-func newHistogram() *Histogram {
-	return &Histogram{Counts: make([]int64, len(histBounds)+1)}
+// newHistogram views s in durations.
+func newHistogram(s obs.HistSnapshot) *Histogram {
+	return &Histogram{N: int64(s.Count), Sum: seconds(s.Sum), Min: seconds(s.Min), Max: seconds(s.Max), hist: s}
 }
 
-// observe records one duration.
-func (h *Histogram) observe(d time.Duration) {
-	i := sort.Search(len(histBounds), func(i int) bool { return d <= histBounds[i] })
-	h.Counts[i]++
-	h.N++
-	h.Sum += d
-	if h.N == 1 || d < h.Min {
-		h.Min = d
-	}
-	if d > h.Max {
-		h.Max = d
-	}
-}
+// seconds converts a float64 second count to the nearest nanosecond.
+func seconds(v float64) time.Duration { return time.Duration(math.Round(v * 1e9)) }
 
-// Mean is the exact average of the observed durations.
-func (h *Histogram) Mean() time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.N)
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear
-// interpolation within the bucket containing it, clamped to the exact
-// observed [Min, Max]. The clamp makes degenerate cases exact: a
-// single-observation histogram returns that observation for every q.
-// The unbounded overflow bucket interpolates over [last bound, Max] —
-// the exact Max substitutes for the missing upper edge, so a
-// single-observation overflow bucket is also exact.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return h.Max
-	}
-	rank := q * float64(h.N)
-	var cum int64
-	for i, c := range h.Counts {
-		prev := cum
-		cum += c
-		if c == 0 || float64(cum) < rank {
-			continue
-		}
-		var lower, upper time.Duration
-		if i >= len(histBounds) {
-			lower, upper = histBounds[len(histBounds)-1], h.Max
-			if h.Min > lower {
-				lower = h.Min
-			}
-		} else {
-			if i > 0 {
-				lower = histBounds[i-1]
-			}
-			upper = histBounds[i]
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		v := lower + time.Duration(frac*float64(upper-lower))
-		return clampDuration(v, h.Min, h.Max)
-	}
-	return h.Max
-}
-
-// clampDuration bounds v to [lo, hi].
-func clampDuration(v, lo, hi time.Duration) time.Duration {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// QuantileSummary is the standard latency triple.
-type QuantileSummary struct {
-	P50, P95, P99 time.Duration
-}
-
-// Quantiles exports the bucket-interpolated p50/p95/p99 estimates.
-func (h *Histogram) Quantiles() QuantileSummary {
-	return QuantileSummary{
-		P50: h.Quantile(0.50),
-		P95: h.Quantile(0.95),
-		P99: h.Quantile(0.99),
-	}
-}
-
-// clone deep-copies the histogram.
-func (h *Histogram) clone() *Histogram {
-	cp := *h
-	cp.Counts = append([]int64(nil), h.Counts...)
-	return &cp
-}
+// Mean is the average of the observed durations.
+func (h *Histogram) Mean() time.Duration { return seconds(h.hist.Mean()) }
 
 // Metrics is the engine's observability surface: started / completed /
 // failed run counters, per-stage and whole-run wall-time histograms,
-// and throughput over the observation window. All methods are safe for
-// concurrent use and safe on a nil receiver (a disabled sink).
+// and throughput over the observation window. The instruments live in
+// a private obs.Registry, which GatherMetrics renders. All methods are
+// safe for concurrent use and safe on a nil receiver (a disabled sink).
 type Metrics struct {
-	// The run counters are bumped from every worker in a sweep; padded
-	// so four hot independent counters stop sharing one cache line
-	// (see BenchmarkCounterInc in internal/sched).
-	started   sched.PaddedInt64
-	completed sched.PaddedInt64
-	failed    sched.PaddedInt64
-	retried   sched.PaddedInt64
+	reg                                 *obs.Registry
+	started, completed, failed, retried *obs.Counter
+	throughput                          *obs.Gauge
+	run                                 *obs.Hist
+	stages                              *obs.HistVec
 
-	mu     sync.Mutex
-	begin  time.Time // first run start
-	end    time.Time // last run finish
-	stages map[string]*Histogram
-	run    *Histogram
+	mu    sync.Mutex
+	begin time.Time // first run start
+	end   time.Time // last run finish
 }
 
 // NewMetrics builds an empty sink.
 func NewMetrics() *Metrics {
-	return &Metrics{stages: make(map[string]*Histogram), run: newHistogram()}
+	reg := obs.NewRegistry()
+	return &Metrics{
+		reg:        reg,
+		started:    reg.Counter("engine_runs_started_total", "Study runs started."),
+		completed:  reg.Counter("engine_runs_completed_total", "Study runs completed successfully."),
+		failed:     reg.Counter("engine_runs_failed_total", "Study runs that returned an error."),
+		retried:    reg.Counter("engine_runs_retried_total", "Transient-failure retries across all runs."),
+		throughput: reg.Gauge("engine_throughput_runs_per_second", "Completed runs per second over the observation window."),
+		run:        reg.Histogram("engine_run_duration_seconds", "Whole-run wall time.", obs.LatencyBuckets),
+		stages: reg.HistogramVec("engine_stage_duration_seconds", "Per-stage wall time of the study pipeline.",
+			"stage", obs.LatencyBuckets),
+	}
 }
 
 // ObserveStage records one pipeline stage's wall time. It has the
@@ -175,21 +72,14 @@ func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.stages[stage]
-	if !ok {
-		h = newHistogram()
-		m.stages[stage] = h
-	}
-	h.observe(d)
+	m.stages.With(stage).Observe(d.Seconds())
 }
 
 func (m *Metrics) runStarted() {
 	if m == nil {
 		return
 	}
-	m.started.Add(1)
+	m.started.Inc()
 	m.mu.Lock()
 	if m.begin.IsZero() {
 		m.begin = time.Now()
@@ -202,12 +92,12 @@ func (m *Metrics) runFinished(d time.Duration, failed bool) {
 		return
 	}
 	if failed {
-		m.failed.Add(1)
+		m.failed.Inc()
 	} else {
-		m.completed.Add(1)
+		m.completed.Inc()
 	}
+	m.run.Observe(d.Seconds())
 	m.mu.Lock()
-	m.run.observe(d)
 	m.end = time.Now()
 	m.mu.Unlock()
 }
@@ -222,10 +112,10 @@ func (m *Metrics) runRetried() {
 	if m == nil {
 		return
 	}
-	m.retried.Add(1)
+	m.retried.Inc()
 }
 
-// Snapshot is a consistent point-in-time copy of the metrics.
+// Snapshot is a point-in-time copy of the metrics.
 type Snapshot struct {
 	Started, Completed, Failed, Retried int64
 	// Window is the wall time from the first run start to the last run
@@ -239,23 +129,25 @@ type Snapshot struct {
 // Snapshot copies the current state.
 func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
-		return Snapshot{Run: newHistogram(), Stages: map[string]*Histogram{}}
+		return Snapshot{Run: &Histogram{}, Stages: map[string]*Histogram{}}
+	}
+	stages := m.stages.Snapshots()
+	s := Snapshot{
+		Started:   m.started.Value(),
+		Completed: m.completed.Value(),
+		Failed:    m.failed.Value(),
+		Retried:   m.retried.Value(),
+		Run:       newHistogram(m.run.Snapshot()),
+		Stages:    make(map[string]*Histogram, len(stages)),
+	}
+	for k, h := range stages {
+		s.Stages[k] = newHistogram(h)
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		Started:   m.started.Load(),
-		Completed: m.completed.Load(),
-		Failed:    m.failed.Load(),
-		Retried:   m.retried.Load(),
-		Run:       m.run.clone(),
-		Stages:    make(map[string]*Histogram, len(m.stages)),
-	}
-	for k, h := range m.stages {
-		s.Stages[k] = h.clone()
-	}
-	if !m.begin.IsZero() && m.end.After(m.begin) {
-		s.Window = m.end.Sub(m.begin)
+	begin, end := m.begin, m.end
+	m.mu.Unlock()
+	if !begin.IsZero() && end.After(begin) {
+		s.Window = end.Sub(begin)
 		if secs := s.Window.Seconds(); secs > 0 {
 			s.Throughput = float64(s.Completed) / secs
 		}
@@ -278,7 +170,7 @@ func (m *Metrics) Render(w io.Writer) error {
 	}
 	line := func(name string, h *Histogram) error {
 		_, err := fmt.Fprintf(w, "  %-13s %6d %10s %10s %10s %10s\n",
-			name, h.N, round(h.Mean()), round(h.Quantile(0.50)), round(h.Quantile(0.95)), round(h.Max))
+			name, h.N, round(h.Mean()), round(seconds(h.hist.Quantile(0.50))), round(seconds(h.hist.Quantile(0.95))), round(h.Max))
 		return err
 	}
 	seen := map[string]bool{}
@@ -305,65 +197,16 @@ func (m *Metrics) Render(w io.Writer) error {
 	return line("run", s.Run)
 }
 
-// histFamilyPoint converts one engine Histogram into an obs histogram
-// point (bounds in seconds, cumulative bucket counts).
-func histFamilyPoint(h *Histogram, labels ...obs.Label) obs.Point {
-	p := obs.Point{
-		Labels:  labels,
-		Sum:     h.Sum.Seconds(),
-		Count:   uint64(h.N),
-		Buckets: make([]obs.Bucket, 0, len(histBounds)+1),
-	}
-	var cum uint64
-	for i, b := range histBounds {
-		cum += uint64(h.Counts[i])
-		p.Buckets = append(p.Buckets, obs.Bucket{UpperBound: b.Seconds(), CumulativeCount: cum})
-	}
-	cum += uint64(h.Counts[len(histBounds)])
-	p.Buckets = append(p.Buckets, obs.Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-	return p
-}
-
 // GatherMetrics implements obs.Gatherer: the engine's counters and
 // histograms unify into the obs registry's Prometheus/expvar renderers
 // without duplicating state — the registry snapshots this sink at
 // render time. Register with obs.Metrics().RegisterGatherer(m).
 func (m *Metrics) GatherMetrics() []obs.Family {
-	s := m.Snapshot()
-	stagePoints := make([]obs.Point, 0, len(s.Stages))
-	seen := map[string]bool{}
-	for _, st := range core.Stages {
-		if h, ok := s.Stages[st]; ok {
-			seen[st] = true
-			stagePoints = append(stagePoints, histFamilyPoint(h, obs.Label{Key: "stage", Value: st}))
-		}
+	if m == nil {
+		return NewMetrics().GatherMetrics()
 	}
-	var extra []string
-	for st := range s.Stages {
-		if !seen[st] {
-			extra = append(extra, st)
-		}
-	}
-	sort.Strings(extra)
-	for _, st := range extra {
-		stagePoints = append(stagePoints, histFamilyPoint(s.Stages[st], obs.Label{Key: "stage", Value: st}))
-	}
-	return []obs.Family{
-		{Name: "engine_runs_started_total", Help: "Study runs started.", Type: "counter",
-			Points: []obs.Point{{Value: float64(s.Started)}}},
-		{Name: "engine_runs_completed_total", Help: "Study runs completed successfully.", Type: "counter",
-			Points: []obs.Point{{Value: float64(s.Completed)}}},
-		{Name: "engine_runs_failed_total", Help: "Study runs that returned an error.", Type: "counter",
-			Points: []obs.Point{{Value: float64(s.Failed)}}},
-		{Name: "engine_runs_retried_total", Help: "Transient-failure retries across all runs.", Type: "counter",
-			Points: []obs.Point{{Value: float64(s.Retried)}}},
-		{Name: "engine_throughput_runs_per_second", Help: "Completed runs per second over the observation window.", Type: "gauge",
-			Points: []obs.Point{{Value: s.Throughput}}},
-		{Name: "engine_run_duration_seconds", Help: "Whole-run wall time.", Type: "histogram",
-			Points: []obs.Point{histFamilyPoint(s.Run)}},
-		{Name: "engine_stage_duration_seconds", Help: "Per-stage wall time of the study pipeline.", Type: "histogram",
-			Points: stagePoints},
-	}
+	m.throughput.Set(m.Snapshot().Throughput)
+	return m.reg.Gather()
 }
 
 // round trims histogram durations to a readable resolution.

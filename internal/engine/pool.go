@@ -87,16 +87,6 @@ func NewPool(opts ...PoolOption) *Pool {
 	return &Pool{rt: cfg.rt}
 }
 
-// NewPoolSized starts workers goroutines pulling from a queue of at
-// most queue waiting jobs.
-//
-// Deprecated: use NewPool(WithPoolWorkers(workers), WithQueueDepth(queue)).
-// This shim exists so pre-scheduler callers keep compiling; behavior
-// is identical.
-func NewPoolSized(workers, queue int) *Pool {
-	return NewPool(WithPoolWorkers(workers), WithQueueDepth(queue))
-}
-
 // Runtime exposes the pool's scheduler so engines can share its
 // workers via WithRuntime. The runtime stays owned by the pool; do
 // not Close it directly.

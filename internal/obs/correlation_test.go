@@ -158,7 +158,7 @@ func TestMiddlewareTraceHeaders(t *testing.T) {
 	Install(tr)
 	defer Install(nil)
 
-	m := NewHTTPMetrics(NewRegistry())
+	m := NewHTTPMetrics(NewRegistry(), nil)
 	var gotCtx TraceContext
 	h := m.Middleware("/t", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotCtx, _ = TraceFromContext(r.Context())
@@ -203,12 +203,9 @@ func TestMiddleware5xxHook(t *testing.T) {
 	var hookRoute string
 	var hookCode int
 	var hookTrace TraceID
-	OnServerError(func(route string, code int, tc TraceContext) {
+	m := NewHTTPMetrics(NewRegistry(), func(route string, code int, tc TraceContext) {
 		hookRoute, hookCode, hookTrace = route, code, tc.Trace
 	})
-	defer OnServerError(nil)
-
-	m := NewHTTPMetrics(NewRegistry())
 	h := m.Middleware("/boom", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
 	}))

@@ -27,7 +27,7 @@ func TestHammerMiddlewareDuringRotation(t *testing.T) {
 	rec := newTestRecorder(Config{Capacity: 256, Window: time.Minute, MinGap: 0})
 	Install(rec)
 
-	m := obs.NewHTTPMetrics(obs.NewRegistry())
+	m := obs.NewHTTPMetrics(obs.NewRegistry(), nil)
 	h := m.Middleware("/hammer", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		trace := obs.TraceIDFromContext(r.Context())
 		Active().Event(KindShed, "hammer", 1, trace)

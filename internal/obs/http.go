@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -10,41 +9,47 @@ import (
 	"time"
 )
 
-// httpBounds are the latency bucket upper bounds (seconds) shared by
-// every route histogram: 1ms to 10s, roughly ×2.5 per step — wide
-// enough for a cache hit (µs–ms) and a cold 124-student study run.
-var httpBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+// httpBounds are the route latency bucket upper bounds (seconds): the
+// shared ladder from 1ms to 10s — wide enough for a cache hit (µs–ms)
+// and a cold 124-student study run.
+var httpBounds = LatencyBuckets[3:]
 
-// routeStats is one route's accumulated request data. exemplars holds
-// the most recent traced observation per latency bucket, so the
-// OpenMetrics exposition can link a p99 bucket to its span tree.
-type routeStats struct {
-	byCode    map[int]uint64
-	counts    []uint64 // httpBounds buckets + overflow
-	sum       float64
-	n         uint64
-	exemplars []Exemplar
+// routeCode keys the request counters.
+type routeCode struct {
+	route string
+	code  int
 }
 
-// HTTPMetrics instruments HTTP handlers: per-route latency histograms,
-// per-route/status request counters, and a process-wide in-flight
-// gauge, all surfaced through a Registry as labeled families
-// (http_request_duration_seconds, http_requests_total,
-// http_in_flight_requests). Construct with NewHTTPMetrics, which also
-// registers it as a Gatherer.
+// HTTPMetrics instruments HTTP handlers: per-route latency histograms
+// (a registry HistVec, http_request_duration_seconds), per-route/status
+// request counters (http_requests_total), and a process-wide in-flight
+// gauge (http_in_flight_requests). Construct with NewHTTPMetrics, which
+// also registers the counters and the gauge as a Gatherer.
 type HTTPMetrics struct {
-	mu       sync.Mutex
-	routes   map[string]*routeStats
-	inFlight atomic.Int64
+	durations     *HistVec
+	onServerError func(route string, code int, tc TraceContext)
+	mu            sync.Mutex
+	requests      map[routeCode]uint64
+	inFlight      atomic.Int64
 }
 
-// NewHTTPMetrics builds an HTTPMetrics and registers it on reg (the
-// process registry when nil).
-func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
+// NewHTTPMetrics builds an HTTPMetrics on reg (the process registry
+// when nil). onServerError, when non-nil, is called after any
+// instrumented handler responds with a 5xx status; it runs on the
+// request goroutine and must be fast and non-blocking. The serve layer
+// passes its flight-recorder trigger here — a callback, not an import,
+// so obs stays dependency-free and every subsystem can instrument
+// through it.
+func NewHTTPMetrics(reg *Registry, onServerError func(route string, code int, tc TraceContext)) *HTTPMetrics {
 	if reg == nil {
 		reg = Metrics()
 	}
-	m := &HTTPMetrics{routes: make(map[string]*routeStats)}
+	m := &HTTPMetrics{
+		durations: reg.HistogramVec("http_request_duration_seconds",
+			"HTTP request latency, by route.", "route", httpBounds),
+		onServerError: onServerError,
+		requests:      make(map[routeCode]uint64),
+	}
 	reg.RegisterGatherer(m)
 	return m
 }
@@ -69,22 +74,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// onServerError is the process-wide 5xx hook (set by the serve layer to
-// trigger flight-recorder dumps). A hook, not an import: obs must stay
-// dependency-free so every subsystem can instrument through it.
-var onServerError atomic.Pointer[func(route string, code int, tc TraceContext)]
-
-// OnServerError installs f to be called after any instrumented handler
-// responds with a 5xx status; nil uninstalls. f runs on the request
-// goroutine and must be fast and non-blocking.
-func OnServerError(f func(route string, code int, tc TraceContext)) {
-	if f == nil {
-		onServerError.Store(nil)
-		return
-	}
-	onServerError.Store(&f)
-}
-
 // Middleware wraps next, attributing its requests to route. Nil-safe:
 // a nil receiver returns next unwrapped, so wiring is unconditional.
 //
@@ -99,6 +88,7 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 	if m == nil {
 		return next
 	}
+	hist := m.durations.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tc, ok := ParseTraceparent(r.Header.Get("traceparent"))
 		if !ok {
@@ -127,115 +117,62 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 			code = http.StatusOK
 		}
 		sp.Int("code", int64(code)).End()
-		m.observe(route, code, elapsed, tc.Trace)
-		if code >= 500 {
-			if f := onServerError.Load(); f != nil {
-				(*f)(route, code, tc)
-			}
+		m.record(route, hist, code, elapsed, tc.Trace)
+		if code >= 500 && m.onServerError != nil {
+			m.onServerError(route, code, tc)
 		}
 	})
 }
 
-// observe records one completed request; a non-zero trace becomes the
-// landing bucket's exemplar.
-func (m *HTTPMetrics) observe(route string, code int, seconds float64, trace TraceID) {
+// record counts one completed request and observes its latency on
+// the route's histogram; a non-zero trace becomes the landing bucket's
+// exemplar.
+func (m *HTTPMetrics) record(route string, hist *Hist, code int, seconds float64, trace TraceID) {
+	hist.ObserveTrace(seconds, trace)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.routes[route]
-	if !ok {
-		rs = &routeStats{byCode: make(map[int]uint64),
-			counts:    make([]uint64, len(httpBounds)+1),
-			exemplars: make([]Exemplar, len(httpBounds)+1)}
-		m.routes[route] = rs
-	}
-	rs.byCode[code]++
-	i := sort.SearchFloat64s(httpBounds, seconds)
-	rs.counts[i]++
-	if !trace.IsZero() {
-		rs.exemplars[i] = Exemplar{Value: seconds, Trace: trace, AtNS: nowUnixNano()}
-	}
-	rs.sum += seconds
-	rs.n++
+	m.requests[routeCode{route, code}]++
+	m.mu.Unlock()
 }
 
 // InFlight reports the requests currently inside instrumented handlers.
 func (m *HTTPMetrics) InFlight() int64 { return m.inFlight.Load() }
 
-// GatherMetrics implements Gatherer. Routes and codes are emitted in
-// sorted order so the exposition is deterministic.
+// GatherMetrics implements Gatherer for the request counters and the
+// in-flight gauge, sorted by route then code so the exposition is
+// deterministic. The latency family is the registry's own HistVec.
 func (m *HTTPMetrics) GatherMetrics() []Family {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	routes := make([]string, 0, len(m.routes))
-	for r := range m.routes {
-		routes = append(routes, r)
+	keys := make([]routeCode, 0, len(m.requests))
+	for k := range m.requests {
+		keys = append(keys, k)
 	}
-	sort.Strings(routes)
-
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].route != keys[j].route {
+			return keys[i].route < keys[j].route
+		}
+		return keys[i].code < keys[j].code
+	})
 	reqs := Family{Name: "http_requests_total", Help: "HTTP requests served, by route and status code.", Type: "counter"}
-	durs := Family{Name: "http_request_duration_seconds", Help: "HTTP request latency, by route.", Type: "histogram"}
-	for _, route := range routes {
-		rs := m.routes[route]
-		codes := make([]int, 0, len(rs.byCode))
-		for c := range rs.byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			reqs.Points = append(reqs.Points, Point{
-				Labels: []Label{{Key: "route", Value: route}, {Key: "code", Value: strconv.Itoa(c)}},
-				Value:  float64(rs.byCode[c]),
-			})
-		}
-		p := Point{Labels: []Label{{Key: "route", Value: route}}, Sum: rs.sum, Count: rs.n}
-		var cum uint64
-		for i, b := range httpBounds {
-			cum += rs.counts[i]
-			p.Buckets = append(p.Buckets, Bucket{UpperBound: b, CumulativeCount: cum})
-		}
-		cum += rs.counts[len(httpBounds)]
-		p.Buckets = append(p.Buckets, Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-		for _, e := range rs.exemplars {
-			if !e.Trace.IsZero() {
-				p.Exemplars = append([]Exemplar(nil), rs.exemplars...)
-				break
-			}
-		}
-		durs.Points = append(durs.Points, p)
+	for _, k := range keys {
+		reqs.Points = append(reqs.Points, Point{
+			Labels: []Label{{Key: "route", Value: k.route}, {Key: "code", Value: strconv.Itoa(k.code)}},
+			Value:  float64(m.requests[k]),
+		})
 	}
+	m.mu.Unlock()
 	return []Family{
 		{Name: "http_in_flight_requests", Help: "Requests currently being served.", Type: "gauge",
 			Points: []Point{{Value: float64(m.inFlight.Load())}}},
 		reqs,
-		durs,
 	}
 }
 
-// Quantile interpolates the q-quantile (0..1) of a route's latency
-// histogram in seconds, for load reports; zero when the route has no
-// observations.
+// Quantile estimates the q-quantile (0..1) of a route's latency in
+// seconds, for load reports; zero when the route has no observations.
 func (m *HTTPMetrics) Quantile(route string, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.routes[route]
-	if !ok || rs.n == 0 {
+	h := m.durations.lookup(route)
+	if h == nil {
 		return 0
 	}
-	rank := q * float64(rs.n)
-	var cum float64
-	for i, c := range rs.counts {
-		cum += float64(c)
-		if cum >= rank {
-			if i >= len(httpBounds) {
-				return httpBounds[len(httpBounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = httpBounds[i-1]
-			}
-			frac := 1 - (cum-rank)/float64(c)
-			return lo + frac*(httpBounds[i]-lo)
-		}
-	}
-	return httpBounds[len(httpBounds)-1]
+	return h.Snapshot().Quantile(q)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestHTTPMetricsMiddleware(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg)
+	m := NewHTTPMetrics(reg, nil)
 
 	ok := m.Middleware("/v1/run", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		time.Sleep(2 * time.Millisecond)
@@ -61,7 +61,7 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 }
 
 func TestHTTPMetricsInFlightDuringRequest(t *testing.T) {
-	m := NewHTTPMetrics(NewRegistry())
+	m := NewHTTPMetrics(NewRegistry(), nil)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	h := m.Middleware("/slow", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -81,5 +81,33 @@ func TestHTTPMetricsInFlightDuringRequest(t *testing.T) {
 	<-done
 	if got := m.InFlight(); got != 0 {
 		t.Fatalf("in-flight after request = %d, want 0", got)
+	}
+}
+
+// TestHTTPQuantileZeroIsMinimum: q=0 reads the route's observed
+// minimum, not NaN.
+func TestHTTPQuantileZeroIsMinimum(t *testing.T) {
+	m := NewHTTPMetrics(NewRegistry(), nil)
+	h := m.durations.With("/r")
+	for i := 0; i < 3; i++ {
+		m.record("/r", h, http.StatusOK, 0.003, TraceID{})
+	}
+	if got := m.Quantile("/r", 0); got != 0.003 {
+		t.Errorf("Quantile(route, 0) = %v, want the observed minimum 0.003", got)
+	}
+}
+
+// TestHTTPRecordAllocs: recording a request for a route and code the
+// middleware has already seen allocates nothing — it runs on every
+// cached hit.
+func TestHTTPRecordAllocs(t *testing.T) {
+	m := NewHTTPMetrics(NewRegistry(), nil)
+	h := m.durations.With("/v1/run")
+	trace := NewTraceID()
+	m.record("/v1/run", h, http.StatusOK, 0.002, trace)
+	if n := testing.AllocsPerRun(1000, func() {
+		m.record("/v1/run", h, http.StatusOK, 0.002, trace)
+	}); n != 0 {
+		t.Fatalf("record allocates %v per call, want 0", n)
 	}
 }

@@ -163,10 +163,18 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// LatencyBuckets are the shared latency bucket upper bounds in seconds:
+// 100µs to 10s on a 1–2.5–5 ladder. The engine's stage and run
+// histograms use all sixteen; the HTTP route histograms start at 1ms.
+var LatencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+
 // Hist is a fixed-bucket histogram over float64 observations (by
-// convention, seconds). Each bucket additionally keeps the most recent
-// exemplar — an observation stamped with the trace that produced it —
-// so the exposition can link latency outliers to their span trees.
+// convention, seconds). It keeps the exact count, sum, min and max
+// beside the buckets, so means are exact and only quantiles are
+// bucket-resolution estimates. Each bucket additionally keeps the most
+// recent exemplar — an observation stamped with the trace that
+// produced it — so the exposition can link latency outliers to their
+// span trees.
 type Hist struct {
 	help      string
 	bounds    []float64
@@ -174,6 +182,7 @@ type Hist struct {
 	counts    []uint64
 	sum       float64
 	n         uint64
+	min, max  float64
 	exemplars []Exemplar
 }
 
@@ -190,6 +199,12 @@ func (h *Hist) ObserveTrace(v float64, trace TraceID) {
 	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	if !trace.IsZero() {
 		h.exemplars[i] = Exemplar{Value: v, Trace: trace, AtNS: nowUnixNano()}
@@ -197,25 +212,141 @@ func (h *Hist) ObserveTrace(v float64, trace TraceID) {
 	h.mu.Unlock()
 }
 
-// snapshot copies the histogram state into a Point.
-func (h *Hist) snapshot() Point {
+// HistSnapshot is a read-only copy of a Hist. Counts holds one count
+// per bound plus the overflow bucket above the last bound (not
+// cumulative); Min and Max are exact, and zero when Count is.
+type HistSnapshot struct {
+	Bounds   []float64 // shared with the Hist; do not modify
+	Counts   []uint64
+	Sum      float64
+	Count    uint64
+	Min, Max float64
+}
+
+// Snapshot copies the histogram's state.
+func (h *Hist) Snapshot() HistSnapshot {
+	s, _ := h.copyState()
+	return s
+}
+
+// copyState copies the state and, when any bucket holds one, the
+// exemplars, under one lock.
+func (h *Hist) copyState() (HistSnapshot, []Exemplar) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p := Point{Sum: h.sum, Count: h.n, Buckets: make([]Bucket, 0, len(h.bounds)+1)}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		p.Buckets = append(p.Buckets, Bucket{UpperBound: b, CumulativeCount: cum})
-	}
-	cum += h.counts[len(h.bounds)]
-	p.Buckets = append(p.Buckets, Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
+	s := HistSnapshot{Bounds: h.bounds, Counts: append([]uint64(nil), h.counts...),
+		Sum: h.sum, Count: h.n, Min: h.min, Max: h.max}
 	for _, e := range h.exemplars {
 		if !e.Trace.IsZero() {
-			p.Exemplars = append([]Exemplar(nil), h.exemplars...)
-			break
+			return s, append([]Exemplar(nil), h.exemplars...)
 		}
 	}
+	return s, nil
+}
+
+// Mean is the exact average of the observations; zero when empty.
+func (s HistSnapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Sum / float64(s.Count)
+}
+
+// Quantile estimates the q-quantile with BucketQuantile, narrowed to
+// the exact observed [Min, Max].
+func (s HistSnapshot) Quantile(q float64) float64 {
+	counts := make([]float64, len(s.Counts))
+	for i, c := range s.Counts {
+		counts[i] = float64(c)
+	}
+	return BucketQuantile(q, s.Bounds, counts, s.Min, s.Max)
+}
+
+// snapshot renders the histogram as a gathered Point: cumulative
+// buckets ending in +Inf, sum, count and exemplars.
+func (h *Hist) snapshot() Point {
+	s, ex := h.copyState()
+	p := Point{Sum: s.Sum, Count: s.Count, Buckets: make([]Bucket, 0, len(s.Counts)), Exemplars: ex}
+	var cum uint64
+	for i, c := range s.Counts {
+		cum += c
+		ub := math.Inf(1)
+		if i < len(s.Bounds) {
+			ub = s.Bounds[i]
+		}
+		p.Buckets = append(p.Buckets, Bucket{UpperBound: ub, CumulativeCount: cum})
+	}
 	return p
+}
+
+// BucketQuantile is the one histogram quantile estimator: every
+// reader — Hist snapshots, the engine's stage report, HTTP load
+// reports and the TSDB's quantile-over-time — calls it.
+//
+// bounds are the finite bucket upper bounds, ascending; counts are the
+// per-bucket (not cumulative) observation counts, one per bound plus a
+// final overflow bucket above the last bound. lo and hi are the exact
+// observed minimum and maximum; pass NaN for both when they are
+// unknown, as for a histogram rebuilt from bucket series.
+//
+// The contract:
+//   - no observations: 0;
+//   - q is clamped into [0, 1], NaN reading as 0, so the result is
+//     never NaN or ±Inf;
+//   - empty buckets are skipped; the rank q·total falls in the first
+//     non-empty bucket whose cumulative count reaches it;
+//   - inside that bucket the estimate interpolates linearly from the
+//     previous bound (0 for the first bucket) to the bucket's bound;
+//   - the overflow bucket's upper edge is hi when known, otherwise the
+//     last finite bound;
+//   - when lo and hi are known, the bucket's edges are first narrowed
+//     to [lo, hi], so the result lies inside the observed range and a
+//     single observation is reported exactly.
+func BucketQuantile(q float64, bounds, counts []float64, lo, hi float64) float64 {
+	var total float64
+	for _, c := range counts {
+		if c > 0 {
+			total += c
+		}
+	}
+	if !(total > 0) || math.IsInf(total, 1) {
+		return 0
+	}
+	known := !math.IsNaN(lo) && !math.IsNaN(hi)
+	switch {
+	case q > 1:
+		q = 1
+	case !(q > 0):
+		q = 0
+	}
+	rank := q * total
+	var cum float64
+	for i, c := range counts {
+		if !(c > 0) {
+			continue
+		}
+		if cum+c < rank {
+			cum += c
+			continue
+		}
+		var lower float64
+		if i > 0 {
+			lower = bounds[i-1]
+		}
+		upper := lower // overflow bucket with unknown hi: the last finite bound
+		switch {
+		case i < len(bounds):
+			upper = bounds[i]
+		case known:
+			upper = hi
+		}
+		if known {
+			lower, upper = math.Max(lower, lo), math.Min(upper, hi)
+		}
+		frac := (rank - cum) / c
+		return math.Min(lower+frac*(upper-lower), upper) // rounding must not step past the edge
+	}
+	return 0
 }
 
 // Registry holds named instruments and render-time Gatherers. All
@@ -328,7 +459,29 @@ func (v *HistVec) With(labelValue string) *Hist {
 	return h
 }
 
-// snapshotFamily renders the vec as one family under name.
+// lookup returns the member histogram for one label value, or nil when
+// that value has never been seen; unlike With it never creates one.
+func (v *HistVec) lookup(labelValue string) *Hist {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.m[labelValue]
+}
+
+// Snapshots copies every member histogram, keyed by label value.
+func (v *HistVec) Snapshots() map[string]HistSnapshot {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	out := make(map[string]HistSnapshot, len(v.m))
+	for val, h := range v.m {
+		out[val] = h.Snapshot()
+	}
+	return out
+}
+
+// snapshotFamily renders the vec as one family under name. Members
+// resolved ahead of use (HTTP routes, at wiring time) but never
+// observed are left out, so a label value appears with its first
+// observation.
 func (v *HistVec) snapshotFamily(name string) Family {
 	v.mu.Lock()
 	vals := make([]string, 0, len(v.m))
@@ -344,6 +497,9 @@ func (v *HistVec) snapshotFamily(name string) Family {
 	f := Family{Name: name, Help: v.help, Type: "histogram"}
 	for i, h := range members {
 		p := h.snapshot()
+		if p.Count == 0 {
+			continue
+		}
 		p.Labels = []Label{{Key: v.labelKey, Value: vals[i]}}
 		f.Points = append(f.Points, p)
 	}

@@ -96,17 +96,12 @@ func (db *DB) RangeQuery(name, fn string, from, to int64) []SeriesData {
 // QuantileOverTime estimates the q-quantile (0..1) of a histogram
 // family's observations inside [from, to], per label set. It groups
 // the family's _bucket series by their labels minus le, computes each
-// bucket's increase over the window, and interpolates inside the
-// winning bucket the way Prometheus' histogram_quantile does.
+// bucket's increase over the window, and interpolates with
+// obs.BucketQuantile (no min/max: the series do not carry them).
 func (db *DB) QuantileOverTime(name string, q float64, from, to int64) []SeriesData {
 	infos := db.Select(name+"_bucket", nil)
-	type group struct {
-		key    string
-		bounds []float64
-		incs   []float64
-	}
-	groups := map[string]*group{}
-	order := []string{}
+	type bucket struct{ bound, inc float64 }
+	groups := map[string][]bucket{}
 	for _, info := range infos {
 		le := LabelValue(info.Labels, "le")
 		bound, err := parseLE(le)
@@ -114,59 +109,37 @@ func (db *DB) QuantileOverTime(name string, q float64, from, to int64) []SeriesD
 			continue
 		}
 		gkey := keyWithoutLE(info.Key, le)
-		g := groups[gkey]
-		if g == nil {
-			g = &group{key: gkey}
-			groups[gkey] = g
-			order = append(order, gkey)
-		}
-		g.bounds = append(g.bounds, bound)
-		g.incs = append(g.incs, IncreaseSamples(db.SamplesBetween(info.Key, from, to)))
+		groups[gkey] = append(groups[gkey], bucket{bound, IncreaseSamples(db.SamplesBetween(info.Key, from, to))})
+	}
+	order := make([]string, 0, len(groups))
+	for gkey := range groups {
+		order = append(order, gkey)
 	}
 	sort.Strings(order)
 	out := make([]SeriesData, 0, len(order))
 	for _, gkey := range order {
 		g := groups[gkey]
-		v := bucketQuantile(q, g.bounds, g.incs)
+		sort.Slice(g, func(a, b int) bool { return g[a].bound < g[b].bound })
+		// Cumulative increases to per-bucket counts. Buckets reset
+		// independently, so a lower bucket can out-grow a higher one;
+		// the running maximum keeps every count non-negative and the
+		// total at the largest increase.
+		var bounds, counts []float64
+		var top float64
+		for _, b := range g {
+			if !math.IsInf(b.bound, 1) {
+				bounds = append(bounds, b.bound)
+			}
+			counts = append(counts, math.Max(b.inc-top, 0))
+			top = math.Max(top, b.inc)
+		}
+		if len(counts) == len(bounds) { // no +Inf series: empty overflow
+			counts = append(counts, 0)
+		}
+		v := obs.BucketQuantile(q, bounds, counts, math.NaN(), math.NaN())
 		out = append(out, SeriesData{Series: gkey, Type: "histogram", Value: &v})
 	}
 	return out
-}
-
-// bucketQuantile interpolates a quantile from cumulative bucket
-// increases. bounds and incs are parallel and already cumulative, but
-// possibly unsorted; 0 when the window saw no observations.
-func bucketQuantile(q float64, bounds, incs []float64) float64 {
-	idx := make([]int, len(bounds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return bounds[idx[a]] < bounds[idx[b]] })
-	total := 0.0
-	for _, i := range idx {
-		if incs[i] > total {
-			total = incs[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * total
-	prevBound, prevCount := 0.0, 0.0
-	for _, i := range idx {
-		b, c := bounds[i], incs[i]
-		if c >= rank {
-			if math.IsInf(b, 1) { // +Inf bucket: report the highest finite bound
-				return prevBound
-			}
-			if c == prevCount {
-				return b
-			}
-			return prevBound + (b-prevBound)*(rank-prevCount)/(c-prevCount)
-		}
-		prevBound, prevCount = b, c
-	}
-	return prevBound
 }
 
 // parseLE reverses formatLE.

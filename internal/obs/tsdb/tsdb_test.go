@@ -160,6 +160,7 @@ func TestDBNonMonotonicDropped(t *testing.T) {
 func TestQuantileOverTime(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("lat_seconds", "latency", []float64{0.1, 0.5, 1})
+	fast := reg.Histogram("fast_seconds", "latency", []float64{0.001, 0.0025, 0.005})
 	db := testDB(t, reg)
 	base := time.UnixMilli(1_700_000_000_000)
 	db.SampleOnce(base)
@@ -168,6 +169,9 @@ func TestQuantileOverTime(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.3) // le=0.5
+	}
+	for i := 0; i < 3; i++ {
+		fast.Observe(0.003) // le=0.005
 	}
 	db.SampleOnce(base.Add(5 * time.Second))
 
@@ -183,6 +187,12 @@ func TestQuantileOverTime(t *testing.T) {
 	res = db.QuantileOverTime("lat_seconds", 0.99, 0, math.MaxInt64)
 	if got := *res[0].Value; got <= 0.1 || got > 0.5 {
 		t.Fatalf("p99 = %v, want in (0.1, 0.5]", got)
+	}
+	// q=0 is the lower edge of the first non-empty bucket, not the
+	// bound of the empty bucket below it.
+	res = db.QuantileOverTime("fast_seconds", 0, 0, math.MaxInt64)
+	if got := *res[0].Value; got != 0.0025 {
+		t.Fatalf("p0 = %v, want 0.0025", got)
 	}
 	// Zero-observation window → 0, not NaN.
 	res = db.QuantileOverTime("lat_seconds", 0.9, base.Add(time.Hour).UnixMilli(), math.MaxInt64)

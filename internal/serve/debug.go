@@ -218,7 +218,7 @@ func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 		quant := 0.99
 		if qs := q.Get("q"); qs != "" {
 			var err error
-			if quant, err = strconv.ParseFloat(qs, 64); err != nil || quant < 0 || quant > 1 {
+			if quant, err = strconv.ParseFloat(qs, 64); err != nil || !(quant >= 0 && quant <= 1) {
 				writeError(w, http.StatusBadRequest, "malformed quantile %q (want 0..1)", qs)
 				return
 			}

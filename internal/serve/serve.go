@@ -70,16 +70,6 @@ import (
 	"pblparallel/internal/store"
 )
 
-// init wires the obs middleware's 5xx hook to the flight recorder: any
-// instrumented handler answering 5xx triggers a postmortem bundle
-// stamped with the offending trace ID (no-op while no recorder is
-// installed; rate-limited by the recorder's MinGap).
-func init() {
-	obs.OnServerError(func(route string, code int, tc obs.TraceContext) {
-		flightrec.Active().Trigger(fmt.Sprintf("http-%d-%s", code, route), tc.Trace)
-	})
-}
-
 // Config tunes a Server. The zero value is usable: every field has a
 // serving default.
 type Config struct {
@@ -233,7 +223,7 @@ func New(cfg Config) *Server {
 		pool:  pool,
 		rt:    pool.Runtime(),
 		cache: NewCache(cfg.CacheEntries, cfg.Injector),
-		httpm: obs.NewHTTPMetrics(cfg.Registry),
+		httpm: obs.NewHTTPMetrics(cfg.Registry, triggerOnServerError),
 		mux:   http.NewServeMux(),
 	}
 	if cfg.Injector != nil {
@@ -292,6 +282,14 @@ func New(cfg Config) *Server {
 	}
 	s.ready.Store(true)
 	return s
+}
+
+// triggerOnServerError is the middleware's 5xx callback: any
+// instrumented handler answering 5xx triggers a postmortem bundle
+// stamped with the offending trace ID (no-op while no recorder is
+// installed; rate-limited by the recorder's MinGap).
+func triggerOnServerError(route string, code int, tc obs.TraceContext) {
+	flightrec.Active().Trigger(fmt.Sprintf("http-%d-%s", code, route), tc.Trace)
 }
 
 // route is one row of the server's endpoint table.

@@ -103,8 +103,10 @@ func TestDebugTSDBRateQuery(t *testing.T) {
 	if r, _ := get(t, ts, ts.URL+"/debug/tsdb?series=x&fn=bogus"); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad fn status %d, want 400", r.StatusCode)
 	}
-	if r, _ := get(t, ts, ts.URL+"/debug/tsdb?series=x&fn=quantile&q=7"); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad quantile status %d, want 400", r.StatusCode)
+	for _, q := range []string{"7", "NaN"} {
+		if r, _ := get(t, ts, ts.URL+"/debug/tsdb?series=x&fn=quantile&q="+q); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("quantile q=%s status %d, want 400", q, r.StatusCode)
+		}
 	}
 }
 

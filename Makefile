@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify ci build test race vet bench bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
+.PHONY: verify ci build test race vet bench bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
 
 ## verify: the tier-1 gate — vet, build, race-test everything, pin the
 ## golden outputs, smoke the fuzz targets on their seed corpora, and
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime 2s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 2s
 
 ## fuzz: the longer run — 30s per target locally, raised by the
 ## nightly workflow with FUZZTIME=5m.
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 
 ## cover-stats: hold the mergeable-sketch implementation to a >=90%
 ## statement-coverage floor. The sketches are the numeric foundation
@@ -86,9 +88,10 @@ cover-stats:
 	    if (pct < 90) exit 1 }' cover-stats.out
 	@rm -f cover-stats.out
 
-## chaos: the fault-injection sweep (CHAOS_SEEDS seeds, default 200),
-## run at worker counts 1, 2, and 8 on dedicated work-stealing
-## runtimes; exits non-zero if any statistic drifts under recoverable
+## chaos: the fault-injection sweep (CHAOS_SEEDS seeds, default 200):
+## one clean baseline at 1 worker, then a faulted pass at worker counts
+## 1, 2, and 8, each on a dedicated work-stealing runtime; exits
+## non-zero if any statistic drifts from the baseline under recoverable
 ## faults at any count. The nightly workflow raises CHAOS_SEEDS.
 CHAOS_SEEDS ?= 200
 chaos:
@@ -98,10 +101,10 @@ chaos:
 ## HTTP service with the service-layer fault mix armed (injected
 ## queue-full sheds, slow backends, memory-cache corruption, and the
 ## persistent tier's corrupt/read/write faults) on top of the runtime
-## mix. The second pass runs on a freshly restarted daemon over the
-## same cache directory: every response must stay byte-identical to
-## the clean server across the restart, served from the disk tier, at
-## each worker count.
+## mix, at each worker count. The second pass runs on a freshly
+## restarted daemon over the same cache directory: every response must
+## stay byte-identical to the one clean server's baseline across the
+## restart, served from the disk tier.
 chaos-serve:
 	$(GO) run ./cmd/pblstudy chaos -serve -workerset 1,2,8 -seeds $(CHAOS_SEEDS)
 
@@ -111,46 +114,6 @@ chaos-serve:
 ## verified disk hit (asserted via store_disk_hits_total in /metrics).
 persist-check:
 	./scripts/cache_persistence.sh
-
-## bench: sweep + tracer benchmarks (PR2 baseline) and the
-## fault-injection overhead benchmarks (disabled-path must stay at
-## 0 allocs/op), recorded via benchjson.
-bench:
-	{ $(GO) test ./internal/engine/ -bench 'Sweep200' -benchtime 2x -run '^$$' && \
-	  $(GO) test ./internal/obs/ -bench 'Span' -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR2.json
-	$(GO) test ./internal/fault/ -bench . -benchmem -run '^$$' \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR3.json
-
-## bench-pr4: the PR4 perf surface — the disabled-path hooks that must
-## stay at 0 allocs/op (fault hits, obs spans) plus the serve cache and
-## server load benchmarks — recorded via benchjson for the CI compare
-## gate and the EXPERIMENTS.md latency numbers.
-bench-pr4:
-	{ $(GO) test ./internal/fault/ -bench . -benchmem -run '^$$' && \
-	  $(GO) test ./internal/obs/ -bench 'Span' -benchmem -run '^$$' && \
-	  $(GO) test ./internal/serve/ -bench . -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR4.json
-
-## bench-pr5: the PR5 perf surface — the flight recorder's incident
-## hook, disabled (must stay 0 allocs/op — every shed/retry/fault site
-## pays it) and enabled (one ring write under a sharded lock) — the
-## numbers EXPERIMENTS.md quotes for recorder overhead.
-bench-pr5:
-	$(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -run '^$$' \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR5.json
-
-## bench-pr6: the PR6 perf surface — the scheduler runtime's hot paths
-## (deque push/pop, index-pool claims, spawn-or-inline at 0 allocs,
-## steal overhead on imbalanced regions, padded-vs-shared counters)
-## plus the serve cache hit and cached-run load benchmarks and the
-## flight-recorder Event hook, so BENCH_PR6.json is a superset of the
-## PR5 baseline and compares cleanly against it.
-bench-pr6:
-	{ $(GO) test ./internal/sched/ -bench . -benchmem -run '^$$' && \
-	  $(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -run '^$$' && \
-	  $(GO) test ./internal/serve/ -bench 'CacheHitDo|ServeCachedRun' -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR6.json
 
 ## GATED_BENCH is the union perf surface the bench-check gate re-runs:
 ## every deterministic micro benchmark pinned by a committed baseline —
@@ -170,42 +133,20 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/serve/ -bench 'CacheHitDo' -benchmem -count $(BENCH_COUNT) -run '^$$'; }
 BENCH_COUNT ?= 3
 
-## bench-pr7: record the PR7 perf surface (the full gated union above,
-## single-count) as the newest committed baseline.
-bench-pr7: BENCH_COUNT = 1
-bench-pr7:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
-
-## bench-pr8: the PR8 baseline — the gated union plus the sketch hot
-## paths (Moments.Add on the per-student path must stay 0 allocs/op;
-## Merge folds 64 partials, the shape of a chunk-ordered reduction).
-bench-pr8: BENCH_COUNT = 1
-bench-pr8:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR8.json
-
-## bench-pr9: the PR9 baseline — the gated union plus the persistent
-## tier's hot paths: the per-miss disk probe (read + verify + inflate)
-## and the codec halves join the gated union; the write-behind spill
-## (DiskPut) is recorded here for EXPERIMENTS.md but stays out of the
-## gate — it creates and renames real files, which is as
-## machine-sensitive as the HTTP load benchmarks the gate already
-## excludes. The memory-hit path (CacheHitDo) stays in the union at
-## 0 allocs/op — attaching the disk tier must not add a byte to the
-## hit path.
-bench-pr9: BENCH_COUNT = 1
-bench-pr9:
+## bench: record the perf surface as a new committed baseline,
+## BENCH_PR$(PR).json: the gated union above at a single count, plus
+## the recorded-only extras the gate leaves out because they are too
+## machine-sensitive for a 20% bound — the 200-seed engine sweep, the
+## serve HTTP load benchmarks, and the store's write-behind spill
+## (DiskPut creates and renames real files). Usage: make bench PR=14
+bench: BENCH_COUNT = 1
+bench:
+	@test -n "$(PR)" || { echo "usage: make bench PR=<n>" >&2; exit 2; }
 	{ $(GATED_BENCH) && \
-	  $(GO) test ./internal/store/ -bench 'DiskPut' -benchmem -count $(BENCH_COUNT) -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR9.json
-
-## bench-pr10: the PR10 baseline — the gated union plus the embedded
-## TSDB's hot paths: the per-sample Gorilla chunk append (the sampler
-## pays it for every series on every tick — gated at 0 allocs/op) and
-## a rate() range query over an hour of 5s samples (the /debug/tsdb
-## read path).
-bench-pr10: BENCH_COUNT = 1
-bench-pr10:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+	  $(GO) test ./internal/engine/ -bench 'Sweep200' -benchtime 2x -run '^$$' && \
+	  $(GO) test ./internal/serve/ -bench 'ServeCachedRun|ServeComputeRun' -benchmem -run '^$$' && \
+	  $(GO) test ./internal/store/ -bench 'DiskPut' -benchmem -run '^$$'; } \
+	| $(GO) run ./cmd/benchjson -o BENCH_PR$(PR).json
 
 ## bench-check: re-run the gated perf surface and fail if it regressed
 ## against the NEWEST committed BENCH_PR*.json baseline — more than 20%

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pblparallel/internal/fault"
@@ -21,61 +22,44 @@ import (
 	"pblparallel/internal/store"
 )
 
-// serveChaosOpts carries the service-layer chaos sweep parameters from
-// cmdChaos's flag set.
-type serveChaosOpts struct {
-	seeds     int
-	start     int64
-	workers   int
-	retries   int
-	faultSeed int64
-	// The runtime fault mix (fires inside studies, absorbed by the
-	// engine's retry layer under the service).
-	runtimeRules []fault.Rule
-	// The service-layer probabilities.
-	qfull, slowreq, corrupt float64
-	// The persistent-tier probabilities (armed with -restart).
-	storeCorrupt, storeRead, storeWrite float64
-	// restart replaces the second chaotic pass with a kill-and-restart:
-	// the first server (memory + disk tiers, faults armed) is drained
-	// and closed, a second server reopens the same cache directory with
-	// a cold memory cache, and the sweep must come back byte-identical
-	// — served from the restarted daemon's disk tier.
-	restart  bool
-	cacheDir string // shared across the restart; empty = fresh temp dir
-	// flightrec runs tracing + the flight recorder across the whole
-	// sweep: the byte-invariance assertion then also proves recording
-	// never changes response bytes. flightrecDir receives triggered
-	// postmortem bundles (CI uploads them when the sweep fails).
-	flightrec    bool
-	flightrecDir string
-	asJSON       bool
-}
-
-// runServeChaos asserts the service-layer chaos contract: the same
-// seed sweep, issued as /v1/run requests against a clean server and
-// against one with the full fault mix armed (service sites + runtime
-// sites), produces byte-identical response bodies — and a second pass
-// over the chaotic server (cache hits, corruption heals) stays
-// identical too. Returns whether every response matched.
-func runServeChaos(o serveChaosOpts) bool {
-	if o.flightrec {
+// serveChaos asserts the service-layer chaos contract. The seed sweep
+// is issued as /v1/run requests: once against a clean in-process daemon
+// at the first worker count, the one baseline, and then twice per count
+// against daemons with the full fault mix armed (service sites + runtime
+// sites). Every response must be byte-identical to the baseline. It
+// returns one report per count.
+//
+// Under -restart the two faulted passes are a kill and restart: each
+// runs on its own daemon over the same cache directory. Pass 1
+// populates the persistent tier through the fault mix; stopping the
+// server is the "kill" (graceful drain flushes the write-behind queue,
+// exactly what SIGTERM does to pbld); pass 2's fresh daemon has a cold
+// memory cache, so its responses come from verified disk reads —
+// healed by recompute wherever store.corrupt fired. Without -restart
+// both passes run on one daemon (cache hits, corruption heals).
+func serveChaos(f *chaosFlags, counts []int) ([]serveChaosJSON, error) {
+	var (
+		rec *flightrec.Recorder
+		p   *prof.Profiler
+	)
+	if f.flightrec {
+		// Tracing, the flight recorder and the continuous profiler run
+		// across the whole invocation, so the byte-invariance assertion
+		// also proves that recording, CPU sampling, heap snapshots and
+		// mutex/block sampling never change response bytes — and a drift
+		// postmortem ships real profiles.
 		if obs.Default() == nil {
 			obs.Install(obs.NewTracer(obs.DefaultCapacity))
 			defer obs.Install(nil)
 		}
-		rec := flightrec.New(flightrec.Config{Dir: o.flightrecDir, Window: 5 * time.Minute})
+		rec = flightrec.New(flightrec.Config{Dir: f.flightrecDir, Window: 5 * time.Minute})
 		rec.Start()
 		flightrec.Install(rec)
 		defer func() {
 			flightrec.Install(nil)
 			rec.Stop()
 		}()
-		// The continuous profiler runs across the sweep on a tight
-		// cadence, so the byte-invariance assertion also proves that CPU
-		// sampling, heap snapshots, and mutex/block sampling never change
-		// response bytes — and a drift postmortem ships real profiles.
-		p := prof.New(prof.Config{
+		p = prof.New(prof.Config{
 			Interval:      2 * time.Second,
 			CPUDuration:   500 * time.Millisecond,
 			MutexFraction: 100,
@@ -88,139 +72,130 @@ func runServeChaos(o serveChaosOpts) bool {
 			p.Stop()
 		}()
 	}
-	clean := startChaosServer(serve.Config{Workers: o.workers, Queue: o.seeds, Retries: o.retries})
-	baseline, err := sweepOverHTTP(clean.base, o.start, o.seeds, false)
-	clean.stop()
-	if err != nil {
-		fail(fmt.Errorf("baseline serve sweep: %w", err))
-	}
 
-	plan := serve.ServiceFaultPlan(o.faultSeed, serve.FaultProbs{
-		QueueFull: o.qfull, BackendSlow: o.slowreq, CacheCorrupt: o.corrupt,
-		StoreCorrupt: o.storeCorrupt, StoreRead: o.storeRead, StoreWrite: o.storeWrite,
-	})
-	plan.Rules = append(plan.Rules, o.runtimeRules...)
-	inj, err := fault.New(plan)
-	if err != nil {
-		fail(err)
-	}
 	var (
-		passes   [2][][]byte
-		stats    [2]serve.Stats
-		lastTSDB *tsdb.DB // the last chaotic server's history, for failure artifacts
+		reports  []serveChaosJSON
+		baseline int      // the clean server's worker count
+		lastTSDB *tsdb.DB // the last server's history, for failure artifacts
 	)
-	if o.restart {
-		// Kill-and-restart: each pass runs on its own daemon over the
-		// same cache directory. Pass 1 populates the persistent tier
-		// through the full fault mix; stopping the server is the "kill"
-		// (graceful drain flushes the write-behind queue, exactly what
-		// SIGTERM does to pbld); pass 2's freshly started daemon has a
-		// cold memory cache, so its responses come from verified disk
-		// reads — healed by recompute wherever store.corrupt fired.
-		dir := o.cacheDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "pblchaos-store-")
+	drifts, err := checkInvariance(counts, true, func(ps pass) ([][][]byte, error) {
+		// Each daemon schedules on its own pool's runtime; ps.rt is unused.
+		cfg := serve.Config{Workers: ps.workers, Queue: f.seeds, Retries: f.retries}
+		if !ps.faults {
+			baseline = ps.workers
+			sweeps, _, _, err := sweepServer(cfg, f, 1)
 			if err != nil {
-				fail(err)
+				return nil, fmt.Errorf("baseline serve sweep: %w", err)
 			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
+			return sweeps, nil
 		}
-		for pass := 0; pass < 2; pass++ {
-			disk, err := store.Open(dir, store.Options{Injector: inj, Registry: obs.NewRegistry()})
-			if err != nil {
-				fail(fmt.Errorf("chaos serve restart (pass %d): %w", pass+1, err))
+
+		plan := serve.ServiceFaultPlan(f.faultSeed, serve.FaultProbs{
+			QueueFull: f.qfull, BackendSlow: f.slowreq, CacheCorrupt: f.corrupt,
+			StoreCorrupt: f.storeCorrupt, StoreRead: f.storeRead, StoreWrite: f.storeWrite,
+		})
+		plan.Rules = append(plan.Rules, f.runtimeRules()...)
+		inj, err := fault.New(plan)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Injector = inj
+		var (
+			sweeps [][][]byte
+			stats  [2]serve.Stats
+		)
+		if !f.restart {
+			sweeps, stats[1], lastTSDB, err = sweepServer(cfg, f, 2)
+		} else {
+			dir := f.cacheDir
+			if dir == "" {
+				if dir, err = os.MkdirTemp("", "pblchaos-store-"); err != nil {
+					return nil, err
+				}
+				defer os.RemoveAll(dir)
 			}
-			srv := startChaosServer(serve.Config{Workers: o.workers, Queue: o.seeds, Retries: o.retries, Injector: inj, DiskStore: disk})
-			lastTSDB = srv.db
-			bodies, err := sweepOverHTTP(srv.base, o.start, o.seeds, true)
-			if err != nil {
-				srv.stop()
-				fail(fmt.Errorf("chaos serve sweep (pass %d): %w", pass+1, err))
+			for i := 0; i < len(stats) && err == nil; i++ {
+				if cfg.DiskStore, err = store.Open(dir, store.Options{Injector: inj, Registry: obs.NewRegistry()}); err == nil {
+					var s [][][]byte
+					s, stats[i], lastTSDB, err = sweepServer(cfg, f, 1)
+					sweeps = append(sweeps, s...)
+					// A drained server has closed its store already; this
+					// covers a server that never started. Close is idempotent.
+					cfg.DiskStore.Close()
+				}
 			}
-			stats[pass] = srv.srv.Stats()
-			srv.stop()
-			passes[pass] = bodies
 		}
-	} else {
-		chaotic := startChaosServer(serve.Config{Workers: o.workers, Queue: o.seeds, Retries: o.retries, Injector: inj})
-		lastTSDB = chaotic.db
-		for pass := 0; pass < 2; pass++ {
-			bodies, err := sweepOverHTTP(chaotic.base, o.start, o.seeds, true)
-			if err != nil {
-				chaotic.stop()
-				fail(fmt.Errorf("chaos serve sweep (pass %d): %w", pass+1, err))
-			}
-			passes[pass] = bodies
+		if err != nil {
+			return nil, fmt.Errorf("chaos serve sweep (workers=%d): %w", ps.workers, err)
 		}
-		stats[1] = chaotic.srv.Stats()
-		chaotic.stop()
-	}
-	var drifted []int64
-	for i := 0; i < o.seeds; i++ {
-		if !bytes.Equal(baseline[i], passes[0][i]) || !bytes.Equal(baseline[i], passes[1][i]) {
-			drifted = append(drifted, o.start+int64(i))
-		}
+		reports = append(reports, serveChaosJSON{
+			Seeds:     f.seeds,
+			Start:     f.start,
+			Workers:   ps.workers,
+			Baseline:  baseline,
+			Retries:   f.retries,
+			FaultSeed: f.faultSeed,
+			Restart:   f.restart,
+			Plan: map[string]float64{
+				"qfull": f.qfull, "slowreq": f.slowreq, "corrupt": f.corrupt,
+				"store_corrupt": f.storeCorrupt, "store_read": f.storeRead, "store_write": f.storeWrite,
+			},
+			Faults:           inj.Stats(),
+			Shed:             stats[0].Shed + stats[1].Shed,
+			CacheHits:        stats[0].Cache.Hits + stats[1].Cache.Hits,
+			CacheMisses:      stats[0].Cache.Misses + stats[1].Cache.Misses,
+			CacheCoalesced:   stats[0].Cache.Coalesced + stats[1].Cache.Coalesced,
+			CorruptionHealed: stats[0].Cache.CorruptRecovered + stats[1].Cache.CorruptRecovered,
+			StorePuts:        stats[0].Store.Puts + stats[1].Store.Puts,
+			StoreHealed:      stats[0].Store.CorruptionsHealed + stats[1].Store.CorruptionsHealed,
+			StoreReadErrors:  stats[0].Store.ReadErrors + stats[1].Store.ReadErrors,
+			StoreWriteErrors: stats[0].Store.WriteErrors + stats[1].Store.WriteErrors,
+			RestartDiskHits:  stats[1].Store.DiskHits,
+		})
+		return sweeps, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	report := serveChaosJSON{
-		Seeds:     o.seeds,
-		Start:     o.start,
-		Retries:   o.retries,
-		FaultSeed: o.faultSeed,
-		Restart:   o.restart,
-		Plan: map[string]float64{
-			"qfull": o.qfull, "slowreq": o.slowreq, "corrupt": o.corrupt,
-			"store_corrupt": o.storeCorrupt, "store_read": o.storeRead, "store_write": o.storeWrite,
-		},
-		Faults:           inj.Stats(),
-		Shed:             stats[0].Shed + stats[1].Shed,
-		CacheHits:        stats[0].Cache.Hits + stats[1].Cache.Hits,
-		CacheMisses:      stats[0].Cache.Misses + stats[1].Cache.Misses,
-		CacheCoalesced:   stats[0].Cache.Coalesced + stats[1].Cache.Coalesced,
-		CorruptionHealed: stats[0].Cache.CorruptRecovered + stats[1].Cache.CorruptRecovered,
-		StorePuts:        stats[0].Store.Puts + stats[1].Store.Puts,
-		StoreHealed:      stats[0].Store.CorruptionsHealed + stats[1].Store.CorruptionsHealed,
-		StoreReadErrors:  stats[0].Store.ReadErrors + stats[1].Store.ReadErrors,
-		StoreWriteErrors: stats[0].Store.WriteErrors + stats[1].Store.WriteErrors,
-		RestartDiskHits:  stats[1].Store.DiskHits,
-		DriftedSeeds:     drifted,
-		Identical:        len(drifted) == 0,
+	failed := false
+	for i := range reports {
+		r := &reports[i]
+		r.DriftedSeeds = seedsAt(drifts, r.Workers, f.start)
+		r.Identical = len(r.DriftedSeeds) == 0
+		r.OK = serveVerdict(r.Identical, r.Restart, r.RestartDiskHits)
+		failed = failed || !r.OK
 	}
-	// Byte-identity alone is not the whole restart contract: the second
-	// pass must actually have been served from the reopened disk tier,
-	// or the phase proved nothing about persistence.
-	report.OK = report.Identical && (!o.restart || report.RestartDiskHits > 0)
-	if !report.OK {
+	if failed {
 		// The black box earns its keep: capture the sweep's last window
 		// so CI can attach exactly what the service saw at drift time.
-		if path := flightrec.Active().Trigger("chaos-serve-drift", obs.TraceID{}); path != "" {
-			obs.Log().With("pblstudy chaos").Error(context.Background(),
-				"sweep drifted; flight recorder postmortem written", "path", path)
+		log := obs.Log().With("pblstudy chaos")
+		if path := rec.Trigger("chaos-serve-drift", obs.TraceID{}); path != "" {
+			log.Error(context.Background(), "sweep drifted; flight recorder postmortem written", "path", path)
 		}
-		// And the continuous-profiling ring lands next to the bundles:
-		// every snapshot from the sweep, ready for `go tool pprof`.
-		if o.flightrecDir != "" {
-			if n, err := prof.Active().DumpRing(o.flightrecDir); err == nil && n > 0 {
-				obs.Log().With("pblstudy chaos").Error(context.Background(),
-					"continuous-profiling ring dumped", "dir", o.flightrecDir, "snapshots", n)
+		// The continuous-profiling ring and the last faulted server's
+		// metrics history (the window /debug/tsdb would have served) land
+		// next to the bundles, ready for `go tool pprof`.
+		if f.flightrecDir != "" {
+			if n, err := p.DumpRing(f.flightrecDir); err == nil && n > 0 {
+				log.Error(context.Background(), "continuous-profiling ring dumped", "dir", f.flightrecDir, "snapshots", n)
 			}
-			// The last chaotic server's full metrics history joins the
-			// artifacts — the same window /debug/tsdb would have served.
 			if lastTSDB != nil {
-				if path, err := dumpTSDBSnapshot(lastTSDB, o.flightrecDir); err == nil {
-					obs.Log().With("pblstudy chaos").Error(context.Background(),
-						"tsdb snapshot dumped", "path", path)
+				if path, err := dumpTSDBSnapshot(lastTSDB, f.flightrecDir); err == nil {
+					log.Error(context.Background(), "tsdb snapshot dumped", "path", path)
 				}
 			}
 		}
 	}
-	if o.asJSON {
-		emitJSON(report)
-	} else {
-		renderServeChaos(report)
-	}
-	return report.OK
+	return reports, nil
+}
+
+// serveVerdict is the chaos -serve pass rule. Byte identity alone is
+// not the whole restart contract: the restarted pass must actually
+// have been served from the reopened disk tier, or the phase proved
+// nothing about persistence.
+func serveVerdict(identical, restart bool, restartDiskHits int64) bool {
+	return identical && (!restart || restartDiskHits > 0)
 }
 
 // dumpTSDBSnapshot writes the store's entire retained history as a
@@ -242,6 +217,8 @@ func dumpTSDBSnapshot(db *tsdb.DB, dir string) (string, error) {
 type serveChaosJSON struct {
 	Seeds            int                 `json:"seeds"`
 	Start            int64               `json:"start"`
+	Workers          int                 `json:"workers"`
+	Baseline         int                 `json:"baseline_workers"`
 	Retries          int                 `json:"retries"`
 	FaultSeed        int64               `json:"fault_seed"`
 	Restart          bool                `json:"restart"`
@@ -262,18 +239,15 @@ type serveChaosJSON struct {
 	OK               bool                `json:"ok"`
 }
 
-func renderServeChaos(r serveChaosJSON) {
-	fmt.Printf("serve chaos sweep: %d seeds from %d over /v1/run, retry budget=%d, fault seed=%d\n",
-		r.Seeds, r.Start, r.Retries, r.FaultSeed)
+func (r serveChaosJSON) passed() bool { return r.OK }
+
+func (r serveChaosJSON) render() {
+	fmt.Printf("serve chaos sweep: %d seeds from %d over /v1/run, workers=%d, retry budget=%d, fault seed=%d\n",
+		r.Seeds, r.Start, r.Workers, r.Retries, r.FaultSeed)
 	fmt.Printf("service plan: qfull=%.3g slowreq=%.3g corrupt=%.3g store_corrupt=%.3g store_read=%.3g store_write=%.3g (+ runtime mix)\n",
 		r.Plan["qfull"], r.Plan["slowreq"], r.Plan["corrupt"],
 		r.Plan["store_corrupt"], r.Plan["store_read"], r.Plan["store_write"])
-	fmt.Printf("faults: injected=%d", r.Faults.Injected)
-	if len(r.Faults.ByKind) > 0 {
-		b, _ := json.Marshal(r.Faults.ByKind)
-		fmt.Printf(" %s", b)
-	}
-	fmt.Printf(" recovered=%d retries=%d\n", r.Faults.Recovered, r.Faults.Retries)
+	renderFaults(r.Faults, "retries")
 	fmt.Printf("service: shed(429)=%d cache hits=%d misses=%d coalesced=%d corruption healed=%d\n",
 		r.Shed, r.CacheHits, r.CacheMisses, r.CacheCoalesced, r.CorruptionHealed)
 	if r.Restart {
@@ -282,9 +256,9 @@ func renderServeChaos(r serveChaosJSON) {
 	}
 	switch {
 	case r.OK && r.Restart:
-		fmt.Println("result: OK — every response byte-identical to the clean server, including the pass served from the restarted daemon's disk tier")
+		fmt.Printf("result: OK — every response byte-identical to the clean server at workers=%d, including the pass served from the restarted daemon's disk tier\n", r.Baseline)
 	case r.OK:
-		fmt.Println("result: OK — every response byte-identical to the clean server, both passes")
+		fmt.Printf("result: OK — every response byte-identical to the clean server at workers=%d, both passes\n", r.Baseline)
 	case r.Identical:
 		fmt.Printf("result: FAIL — bytes identical but the restarted pass recorded %d disk hits; persistence not exercised\n", r.RestartDiskHits)
 	default:
@@ -292,19 +266,13 @@ func renderServeChaos(r serveChaosJSON) {
 	}
 }
 
-// chaosServer is one ephemeral in-process daemon.
-type chaosServer struct {
-	srv  *serve.Server
-	db   *tsdb.DB
-	base string
-	stop func()
-}
-
-// startChaosServer binds a server on a loopback port and returns its
-// base URL plus a blocking stopper that drains it. Each server gets a
-// private metrics registry unless the caller supplies one: the restart
-// phase spins up several servers in one process, and sharing the
-// process registry would merge their ledgers.
+// sweepServer runs one ephemeral in-process daemon on a loopback port,
+// issues the seed sweep n times, and drains it. It returns each
+// sweep's bodies, the server's ledger, and its metrics history. Shed
+// responses are retried only when cfg arms an injector; a clean
+// server must never shed. Each server gets a private metrics registry:
+// one invocation spins up several servers, and sharing the process
+// registry would merge their ledgers.
 //
 // Every server runs with the full judgment layer armed — a
 // fast-cadence TSDB sampling its registry, the default SLOs over it,
@@ -313,39 +281,39 @@ type chaosServer struct {
 // checks never change response bytes. The TSDB attaches to the active
 // flight recorder while the server runs: any postmortem the sweep
 // triggers embeds the metrics window.
-func startChaosServer(cfg serve.Config) *chaosServer {
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
+func sweepServer(cfg serve.Config, f *chaosFlags, n int) ([][][]byte, serve.Stats, *tsdb.DB, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, serve.Stats{}, nil, err
 	}
+	cfg.Registry = obs.NewRegistry()
 	db := tsdb.New(tsdb.Config{Registry: cfg.Registry, Interval: 250 * time.Millisecond})
 	db.Start()
+	defer db.Stop()
 	flightrec.Active().AttachTSDB(db)
+	defer flightrec.Active().AttachTSDB(nil)
 	cfg.TSDB = db
 	cfg.SLOs = serve.DefaultSLOs()
 	cfg.SLOInterval = 250 * time.Millisecond
 	cfg.WatchdogInterval = 250 * time.Millisecond
 	srv := serve.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		_ = srv.Serve(ctx, ln)
 	}()
-	return &chaosServer{
-		srv:  srv,
-		db:   db,
-		base: "http://" + ln.Addr().String(),
-		stop: func() {
-			cancel()
-			<-done
-			flightrec.Active().AttachTSDB(nil)
-			db.Stop()
-		},
+	defer func() {
+		cancel()
+		<-done
+	}()
+	sweeps := make([][][]byte, n)
+	for i := range sweeps {
+		if sweeps[i], err = sweepOverHTTP("http://"+ln.Addr().String(), f.start, f.seeds, cfg.Injector != nil); err != nil {
+			return nil, serve.Stats{}, db, err
+		}
 	}
+	return sweeps, srv.Stats(), db, nil
 }
 
 // sweepOverHTTP issues one /v1/run request per seed from 8 concurrent
@@ -353,38 +321,26 @@ func startChaosServer(cfg serve.Config) *chaosServer {
 // is set, a shed response is retried after a short backoff — the
 // client-side half of the queue-full recovery loop.
 func sweepOverHTTP(base string, start int64, seeds int, retry429 bool) ([][]byte, error) {
-	const clients = 8
 	bodies := make([][]byte, seeds)
-	errs := make([]error, clients)
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < seeds; i++ {
-			next <- i
-		}
-	}()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	errs := make([]error, seeds)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for c := 0; c < 8; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			client := &http.Client{Timeout: 2 * time.Minute}
-			for i := range next {
-				body, err := runRequest(client, base, start+int64(i), retry429)
-				if err != nil {
-					if errs[c] == nil {
-						errs[c] = fmt.Errorf("seed %d: %w", start+int64(i), err)
-					}
-					continue
-				}
-				bodies[i] = body
+			for i := next.Add(1) - 1; i < int64(seeds); i = next.Add(1) - 1 {
+				bodies[i], errs[i] = runRequest(client, base, start+i, retry429)
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("seed %d: %w", start+int64(i), err)
 		}
 	}
 	return bodies, nil

@@ -1,21 +1,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
 	"pblparallel/internal/cohort"
 	"pblparallel/internal/cohort/mega"
 	"pblparallel/internal/engine"
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
-	"pblparallel/internal/sched"
 )
 
 // cmdCohort runs the mega-cohort scenario engine: a synthetic
@@ -25,9 +22,10 @@ import (
 // stack — O(sketches) memory at any scale. With -workerset the sweep
 // runs once per worker count, each pass on a dedicated work-stealing
 // runtime, and asserts every pass serializes to byte-identical JSON
-// (exit 1 on drift); -faults arms the batch-level fault site during
-// those passes, which must not change a byte either.
-func cmdCohort(args []string) {
+// (exit 1 on drift). -faults arms the batch-level fault site on every
+// pass and adds one fault-free reference pass that each faulted pass
+// must match byte for byte.
+func cmdCohort(args []string) error {
 	fs := flag.NewFlagSet("pblstudy cohort", flag.ExitOnError)
 	students := fs.Int("students", 100_000, "total synthetic students across all scenario cells")
 	seed := fs.Int64("seed", 42, "root seed of every per-student draw")
@@ -43,7 +41,6 @@ func cmdCohort(args []string) {
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of the report")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
 
 	cfg := mega.Config{
 		Students:     *students,
@@ -53,121 +50,93 @@ func cmdCohort(args []string) {
 		Batch:        *batch,
 	}
 	var err error
-	if cfg.Policies, err = parsePolicies(*policies); err != nil {
-		sess.Close()
-		fail(err)
+	if cfg.Policies, err = parseList(*policies, cohort.AllFormationPolicies(), cohort.ParseFormationPolicy); err != nil {
+		return err
 	}
-	if cfg.Assessments, err = parseAssessments(*assessments); err != nil {
-		sess.Close()
-		fail(err)
+	if cfg.Assessments, err = parseList(*assessments, cohort.AllAssessmentVariants(), cohort.ParseAssessmentVariant); err != nil {
+		return err
 	}
-	workerCounts, err := parseWorkerSet(*workerset)
+	counts, err := workerCounts(*workerset, *workers)
 	if err != nil {
-		sess.Close()
-		fail(err)
+		return err
+	}
+	var plan *fault.Plan
+	if *faultP > 0 {
+		plan = &fault.Plan{Seed: *faultSeed, Rules: []fault.Rule{
+			{Site: fault.SiteCohortBatch, Kind: fault.RunFail, Prob: *faultP},
+			{Site: fault.SiteCohortBatch, Kind: fault.ThreadStall, Prob: *faultP, Max: 200e-6},
+		}}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	return withObs(obsCLI, func() error {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		run, err := runCohort(ctx, cfg, counts, plan)
+		if err != nil {
+			return err
+		}
+		for _, d := range run.drifts {
+			fmt.Fprintf(os.Stderr, "cohort: DRIFT — workers=%d serialized differently than the clean reference at workers=%d\n",
+				d.workers, counts[0])
+		}
+		if *asJSON {
+			err = emitJSON(run.res)
+		} else {
+			renderCohort(run, counts)
+		}
+		if err == nil && len(run.drifts) > 0 {
+			err = fmt.Errorf("cohort: %d pass(es) drifted", len(run.drifts))
+		}
+		return err
+	})
+}
 
-	var (
-		ref       []byte
-		res       *mega.Result
-		inj       *fault.Injector
-		identical = true
-		counts    = workerCountsOr(workerCounts, *workers)
-	)
-	for pi, w := range counts {
+// cohortRun is one checked mega-cohort invocation.
+type cohortRun struct {
+	res    *mega.Result    // the last pass's result
+	inj    *fault.Injector // the last pass's injector; nil when faults are off
+	passes int
+	drifts []drift
+}
+
+// runCohort runs cfg through the invariance check: once per worker
+// count, and with a fault plan, one fault-free reference pass plus one
+// faulted pass per count. A single count without faults runs once.
+func runCohort(ctx context.Context, cfg mega.Config, counts []int, plan *fault.Plan) (*cohortRun, error) {
+	run := &cohortRun{}
+	var err error
+	run.drifts, err = checkInvariance(counts, plan != nil, func(p pass) ([][][]byte, error) {
 		runCtx := ctx
-		if *faultP > 0 {
+		run.inj = nil
+		if p.faults {
 			// A fresh injector per pass: decisions are a pure function of
 			// (plan seed, site, key), so every pass sees the same faults.
-			inj, err = fault.New(fault.Plan{Seed: *faultSeed, Rules: []fault.Rule{
-				{Site: fault.SiteCohortBatch, Kind: fault.RunFail, Prob: *faultP},
-				{Site: fault.SiteCohortBatch, Kind: fault.ThreadStall, Prob: *faultP, Max: 200e-6},
-			}})
+			inj, err := fault.New(*plan)
 			if err != nil {
-				sess.Close()
-				fail(err)
+				return nil, err
 			}
-			runCtx = fault.NewContext(ctx, inj)
+			run.inj, runCtx = inj, fault.NewContext(ctx, inj)
 		}
-		engOpts := []engine.Option{engine.WithWorkers(w)}
-		var rt *sched.Runtime
-		if len(workerCounts) > 0 {
-			// Dedicated runtime per pass: divergent steal interleavings
-			// are part of what the byte-invariance assertion covers.
-			rt = sched.New(sched.WithWorkers(w))
-			engOpts = append(engOpts, engine.WithRuntime(rt))
-		}
-		res, err = mega.Run(runCtx, engine.New(engOpts...), cfg)
-		if rt != nil {
-			rt.Close()
-		}
+		res, err := mega.Run(runCtx, engine.New(engine.WithWorkers(p.workers), engine.WithRuntime(p.rt)), cfg)
 		if err != nil {
-			sess.Close()
-			fail(fmt.Errorf("cohort sweep (workers=%d): %w", w, err))
+			return nil, fmt.Errorf("cohort sweep (workers=%d): %w", p.workers, err)
 		}
 		b, err := json.Marshal(res)
 		if err != nil {
-			sess.Close()
-			fail(err)
-		}
-		if pi == 0 {
-			ref = b
-		} else if !bytes.Equal(b, ref) {
-			identical = false
-			fmt.Fprintf(os.Stderr, "cohort: DRIFT — workers=%d serialized differently than workers=%d\n", w, counts[0])
-		}
-	}
-
-	if *asJSON {
-		emitJSON(res)
-	} else {
-		renderCohort(res, counts, inj, identical)
-	}
-	closeObs(sess)
-	if !identical {
-		os.Exit(1)
-	}
-}
-
-// parsePolicies resolves the -policies flag (empty = every axis value).
-func parsePolicies(s string) ([]cohort.FormationPolicy, error) {
-	if s == "" {
-		return cohort.AllFormationPolicies(), nil
-	}
-	var out []cohort.FormationPolicy
-	for _, tok := range strings.Split(s, ",") {
-		p, err := cohort.ParseFormationPolicy(strings.TrimSpace(tok))
-		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// parseAssessments resolves the -assessments flag (empty = every axis value).
-func parseAssessments(s string) ([]cohort.AssessmentVariant, error) {
-	if s == "" {
-		return cohort.AllAssessmentVariants(), nil
-	}
-	var out []cohort.AssessmentVariant
-	for _, tok := range strings.Split(s, ",") {
-		v, err := cohort.ParseAssessmentVariant(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+		run.res = res
+		run.passes++
+		return [][][]byte{{b}}, nil
+	})
+	return run, err
 }
 
 // renderCohort writes the text report: the run shape, the overall
 // aggregate, and per-policy rows folded from the cell sketches with
 // the same Merge the reduction itself uses.
-func renderCohort(res *mega.Result, counts []int, inj *fault.Injector, identical bool) {
+func renderCohort(run *cohortRun, counts []int) {
+	res := run.res
 	fmt.Printf("mega-cohort: %d students over %d cells, %d batches of %d, seed %d [%.2fs @ %d workers]\n",
 		res.Students, len(res.Cells), res.Batches, res.Batch, res.Seed,
 		res.Elapsed.Seconds(), res.Workers)
@@ -192,16 +161,20 @@ func renderCohort(res *mega.Result, counts []int, inj *fault.Injector, identical
 		byPolicy[p].Finalize()
 		line(p, byPolicy[p])
 	}
-	if inj != nil {
-		st := inj.Stats()
+	if run.inj != nil {
+		st := run.inj.Stats()
 		fmt.Printf("faults: injected=%d recovered=%d retries=%d — absorbed, output unchanged\n",
 			st.Injected, st.Recovered, st.Retries)
 	}
-	if len(counts) > 1 {
-		if identical {
-			fmt.Printf("result: OK — byte-identical across workers %v\n", counts)
-		} else {
-			fmt.Printf("result: DRIFT across workers %v\n", counts)
+	if run.passes > 1 {
+		verdict := "OK — byte-identical"
+		if len(run.drifts) > 0 {
+			verdict = "DRIFT"
 		}
+		fmt.Printf("result: %s across workers %v", verdict, counts)
+		if run.inj != nil {
+			fmt.Print(" against a fault-free reference")
+		}
+		fmt.Println()
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"pblparallel/internal/core"
 	"pblparallel/internal/engine"
@@ -33,56 +34,56 @@ import (
 	"pblparallel/internal/whatif"
 )
 
-// startObs activates the observability flags, exiting on error. The
-// caller must run closeObs before returning (fail paths close too).
-func startObs(c *obs.CLI) *obs.Session {
-	sess, err := c.Start()
-	if err != nil {
-		fail(err)
-	}
-	return sess
-}
-
-// closeObs flushes trace/metrics files; its diagnostics go to stderr,
-// so stdout stays machine-parseable under -json.
-func closeObs(sess *obs.Session) {
-	if err := sess.Close(); err != nil {
-		fail(err)
-	}
+// commands maps each subcommand to its runner; every runner returns
+// its error to main, the only exit point.
+var commands = map[string]func(args []string) error{
+	"run":         cmdRun,
+	"sensitivity": cmdSensitivity,
+	"chaos":       cmdChaos,
+	"cohort":      cmdCohort,
+	"serve":       func(args []string) error { return serve.Command("pblstudy serve", args) },
+	"instrument":  cmdInstrument,
+	"spring2019":  cmdSpring2019,
 }
 
 func main() {
-	args := os.Args[1:]
-	if len(args) == 0 {
-		cmdRun(nil)
-		return
+	name, args := "run", os.Args[1:]
+	if len(args) > 0 {
+		name, args = args[0], args[1:]
 	}
-	switch args[0] {
-	case "run":
-		cmdRun(args[1:])
-	case "sensitivity":
-		cmdSensitivity(args[1:])
-	case "chaos":
-		cmdChaos(args[1:])
-	case "cohort":
-		cmdCohort(args[1:])
-	case "serve":
-		if err := serve.Command("pblstudy serve", args[1:]); err != nil {
-			fail(err)
+	cmd, ok := commands[name]
+	switch {
+	case ok:
+		if err := cmd(args); err != nil {
+			// One machine-splittable key=value line through the structured
+			// logger, so stdout stays parseable under -json.
+			obs.Log().With("pblstudy").Error(context.Background(), "fatal", "err", err)
+			os.Exit(1)
 		}
-	case "instrument":
-		cmdInstrument(args[1:])
-	case "spring2019":
-		cmdSpring2019(args[1:])
-	case "help", "-h", "-help", "--help":
+	case name == "help" || name == "-h" || name == "-help" || name == "--help":
 		usage(os.Stdout)
 	default:
 		obs.Log().With("pblstudy").Error(context.Background(),
 			"unknown subcommand (the old -sensitivity/-instrument/-spring2019 flags are now subcommands)",
-			"subcommand", args[0])
+			"subcommand", name)
 		usage(os.Stderr)
 		os.Exit(2)
 	}
+}
+
+// withObs activates the observability flags around fn and flushes the
+// trace/metrics files afterwards, whether or not fn succeeded. A flush
+// error is reported only when fn itself did not fail.
+func withObs(c *obs.CLI, fn func() error) error {
+	sess, err := c.Start()
+	if err != nil {
+		return err
+	}
+	err = fn()
+	if cerr := sess.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func usage(w *os.File) {
@@ -111,7 +112,7 @@ run 'pblstudy <subcommand> -h' for the subcommand's flags
 }
 
 // cmdRun executes one full study.
-func cmdRun(args []string) {
+func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("pblstudy run", flag.ExitOnError)
 	seed := fs.Int64("seed", 0, "override the study seed (0 keeps the paper's)")
 	students := fs.Int("students", 0, "override the cohort size (0 keeps the paper's 124; must be even and >= 10)")
@@ -119,45 +120,37 @@ func cmdRun(args []string) {
 	asJSON := fs.Bool("json", false, "emit a machine-readable summary instead of the report")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
 
-	opts := []core.Option{core.WithCalibration(!*uncal)}
-	if *seed != 0 {
-		opts = append(opts, core.WithSeed(*seed))
-	}
-	if *students != 0 {
-		opts = append(opts, core.WithCohortSize(*students))
-	}
-	// With a metrics sink requested, time the pipeline stages so the
-	// exported exposition carries engine_stage_duration_seconds.
-	if obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
-		m := engine.NewMetrics()
-		obs.Metrics().RegisterGatherer(m)
-		opts = append(opts, core.WithStageObserver(m.ObserveStage))
-	}
-	study := core.NewStudy(opts...)
-	outcome, err := study.Run(context.Background())
-	if err != nil {
-		sess.Close()
-		fail(err)
-	}
-	if *asJSON {
-		emitJSON(runSummary(study, outcome))
-	} else if err := outcome.Render(os.Stdout); err != nil {
-		fail(err)
-	}
-	closeObs(sess)
-}
-
-// runSummary builds the machine-readable study summary (the shape
-// shared with /v1/run and pinned by testdata/golden).
-func runSummary(study *core.Study, o *core.Outcome) serve.RunSummary {
-	cfg := study.Config()
-	return serve.Summarize(cfg.Seed, cfg.Calibrate, o)
+	return withObs(obsCLI, func() error {
+		opts := []core.Option{core.WithCalibration(!*uncal)}
+		if *seed != 0 {
+			opts = append(opts, core.WithSeed(*seed))
+		}
+		if *students != 0 {
+			opts = append(opts, core.WithCohortSize(*students))
+		}
+		// With a metrics sink requested, time the pipeline stages so the
+		// exported exposition carries engine_stage_duration_seconds.
+		if obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
+			m := engine.NewMetrics()
+			obs.Metrics().RegisterGatherer(m)
+			opts = append(opts, core.WithStageObserver(m.ObserveStage))
+		}
+		study := core.NewStudy(opts...)
+		outcome, err := study.Run(context.Background())
+		if err != nil {
+			return err
+		}
+		if *asJSON {
+			cfg := study.Config()
+			return emitJSON(serve.Summarize(cfg.Seed, cfg.Calibrate, outcome))
+		}
+		return outcome.Render(os.Stdout)
+	})
 }
 
 // cmdSensitivity sweeps the study across seeds on the engine.
-func cmdSensitivity(args []string) {
+func cmdSensitivity(args []string) error {
 	fs := flag.NewFlagSet("pblstudy sensitivity", flag.ExitOnError)
 	seeds := fs.Int("seeds", 40, "number of seeds to sweep")
 	start := fs.Int64("start", 20180800, "first seed of the sweep")
@@ -166,91 +159,94 @@ func cmdSensitivity(args []string) {
 	metrics := fs.Bool("metrics", false, "print engine metrics (per-stage histograms, throughput) to stderr after the sweep")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
 
-	opts := sensitivity.Options{Workers: *workers}
-	if *metrics || obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
-		opts.Metrics = engine.NewMetrics()
-		obs.Metrics().RegisterGatherer(opts.Metrics)
-	}
-	// Ctrl-C cancels the sweep through the engine: in-flight runs stop
-	// at their next stage boundary and the error reports the partial
-	// completion count.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	r, err := sensitivity.RunSweep(ctx, *start, *seeds, opts)
-	if err != nil {
-		sess.Close()
-		fail(err)
-	}
-	if *asJSON {
-		emitJSON(r)
-	} else {
-		fmt.Print(r.Render())
-	}
-	if *metrics {
+	return withObs(obsCLI, func() error {
+		opts := sensitivity.Options{Workers: *workers}
+		if *metrics || obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
+			opts.Metrics = engine.NewMetrics()
+			obs.Metrics().RegisterGatherer(opts.Metrics)
+		}
+		// Ctrl-C cancels the sweep through the engine: in-flight runs stop
+		// at their next stage boundary and the error reports the partial
+		// completion count.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		r, err := sensitivity.RunSweep(ctx, *start, *seeds, opts)
+		if err != nil {
+			return err
+		}
+		if *asJSON {
+			err = emitJSON(r)
+		} else {
+			_, err = fmt.Print(r.Render())
+		}
+		if err != nil || !*metrics {
+			return err
+		}
 		// Diagnostics go to stderr: `pblstudy sensitivity -json -metrics`
 		// keeps stdout pure JSON for piping into jq or a file.
-		if err := opts.Metrics.Render(os.Stderr); err != nil {
-			fail(err)
-		}
-	}
-	closeObs(sess)
+		return opts.Metrics.Render(os.Stderr)
+	})
 }
 
 // cmdInstrument prints the full Fig.-2 form.
-func cmdInstrument(args []string) {
+func cmdInstrument(args []string) error {
 	fs := flag.NewFlagSet("pblstudy instrument", flag.ExitOnError)
 	fs.Parse(args)
-	if err := survey.RenderInstrument(os.Stdout, survey.NewBeyerlein()); err != nil {
-		fail(err)
-	}
+	return survey.RenderInstrument(os.Stdout, survey.NewBeyerlein())
 }
 
 // cmdSpring2019 prints the revised module, what changed, and the
 // projected effect of the teamwork reinforcement on the weakest
 // correlation of Table 4.
-func cmdSpring2019(args []string) {
+func cmdSpring2019(args []string) error {
 	fs := flag.NewFlagSet("pblstudy spring2019", flag.ExitOnError)
 	n := fs.Int("n", 3000, "projection cohort size (large n stabilizes the projection)")
 	seed := fs.Int64("seed", 42, "projection seed")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
 
-	fall := pbl.NewPaperModule()
-	revised := pbl.NewSpring2019Module()
-	if err := revised.RenderTimeline(os.Stdout); err != nil {
-		fail(err)
-	}
-	diff, err := pbl.Diff(fall, revised)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("\nchanges vs Fall 2018: %d new assignment(s) %v, +%d questions, +%d materials\n\n",
-		len(diff.AddedAssignments), diff.AddedAssignments,
-		diff.AddedQuestionCount, diff.AddedMaterialCount)
-	proj, err := whatif.Project(whatif.TeamworkReinforcement(), *n, *seed)
-	if err != nil {
-		sess.Close()
-		fail(err)
-	}
-	fmt.Print(proj.Render())
-	closeObs(sess)
+	return withObs(obsCLI, func() error {
+		fall := pbl.NewPaperModule()
+		revised := pbl.NewSpring2019Module()
+		if err := revised.RenderTimeline(os.Stdout); err != nil {
+			return err
+		}
+		diff, err := pbl.Diff(fall, revised)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nchanges vs Fall 2018: %d new assignment(s) %v, +%d questions, +%d materials\n\n",
+			len(diff.AddedAssignments), diff.AddedAssignments,
+			diff.AddedQuestionCount, diff.AddedMaterialCount)
+		proj, err := whatif.Project(whatif.TeamworkReinforcement(), *n, *seed)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Print(proj.Render())
+		return err
+	})
 }
 
-func emitJSON(v any) {
+func emitJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fail(err)
-	}
+	return enc.Encode(v)
 }
 
-// fail logs the fatal error through the structured logger (one
-// machine-splittable key=value line, trace-stamped when a request
-// context carried one) and exits.
-func fail(err error) {
-	obs.Log().With("pblstudy").Error(context.Background(), "fatal", "err", err)
-	os.Exit(1)
+// parseList resolves a comma-separated list flag through parse; an
+// empty flag selects all.
+func parseList[T any](s string, all []T, parse func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return all, nil
+	}
+	var out []T
+	for _, tok := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -43,6 +43,11 @@ const (
 	// maxPayload bounds the decoded length a header may claim, so a
 	// corrupt length field cannot ask for a multi-gigabyte allocation.
 	maxPayload = 1 << 31
+
+	// maxExpansion is deflate's worst-case inflation ratio: a 258-byte
+	// match coded in two bits. A header claiming more payload than the
+	// stream present could inflate to is corrupt.
+	maxExpansion = 1032
 )
 
 // ErrCorrupt classifies an entry that failed verification — bad magic,
@@ -137,9 +142,11 @@ func decodeEntry(k Key, raw []byte) ([]byte, error) {
 	if !bytes.Equal(raw[5:37], k.Sum[:]) {
 		return nil, fmt.Errorf("%w: header key does not match content address %s", ErrCorrupt, k.Hex)
 	}
+	// Both length bounds hold before the body is allocated, so a
+	// damaged length field costs nothing but this check.
 	ulen := binary.BigEndian.Uint64(raw[37:45])
-	if ulen > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, ulen)
+	if ulen > maxPayload || ulen > maxExpansion*uint64(len(raw)-headerSize) {
+		return nil, fmt.Errorf("%w: implausible payload length %d for a %d-byte stream", ErrCorrupt, ulen, len(raw)-headerSize)
 	}
 	wantCRC := binary.BigEndian.Uint32(raw[45:49])
 	var wantSum [sha256.Size]byte

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -358,10 +361,61 @@ func TestEncodeDecode(t *testing.T) {
 		"bad-length":     func(raw []byte) []byte { raw[44]--; return raw }, // header and stream disagree
 		"stream-damage":  func(raw []byte) []byte { raw[headerSize] ^= 0xFF; return raw },
 		"stream-missing": func(raw []byte) []byte { return raw[:headerSize] },
+		"oversized-length": func(raw []byte) []byte {
+			binary.BigEndian.PutUint64(raw[37:45], maxPayload)
+			return raw
+		},
 	} {
 		raw := mutate(append([]byte(nil), buf.Bytes()...))
-		if _, err := decodeEntry(k, raw); err == nil {
+		// A damaged header must be rejected without allocating what it
+		// claims: every disk probe of the daemon decodes such files.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeEntry(k, raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: decodeEntry accepted corrupt entry", name)
 		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: decoding a corrupt entry allocated %d bytes, want < 1 MB", name, n)
+		}
 	}
+}
+
+// FuzzDecodeEntry feeds arbitrary file images to the entry decoder.
+// It must never panic, every rejection must classify as ErrCorrupt
+// (the daemon's heal path keys on it), and any accepted body must
+// survive an encode/decode round trip unchanged.
+func FuzzDecodeEntry(f *testing.F) {
+	k := KeyOf([]byte("fuzz"))
+	var valid bytes.Buffer
+	if err := encodeEntry(k, []byte(`{"seed": 7, "workers": 8}`), &valid); err != nil {
+		f.Fatal(err)
+	}
+	oversized := append([]byte(nil), valid.Bytes()...)
+	binary.BigEndian.PutUint64(oversized[37:45], maxPayload)
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-3])
+	f.Add(oversized)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body, err := decodeEntry(k, raw)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := encodeEntry(k, body, &again); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		got, err := decodeEntry(k, again.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded entry rejected: %v", err)
+		}
+		if !bytes.Equal(got, body) {
+			t.Fatal("re-encoded entry decodes to different bytes")
+		}
+	})
 }

@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify ci build test race vet bench bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
+.PHONY: verify ci fmt-check build test race vet bench bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
 
-## verify: the tier-1 gate — vet, build, race-test everything, pin the
+## verify: the tier-1 gate — gofmt, vet, build, race-test everything, pin the
 ## golden outputs, smoke the fuzz targets on their seed corpora, and
 ## hold the sketch files to their coverage floor. The stray-baseline
 ## sweep runs first so a leftover benchjson scratch file can never be
@@ -12,6 +12,7 @@ GO ?= go
 ## racing vet diagnostics against a doomed race run.
 verify:
 	$(MAKE) sweep-stray
+	$(MAKE) fmt-check
 	$(MAKE) vet
 	$(MAKE) build
 	$(MAKE) race
@@ -25,6 +26,12 @@ verify:
 ## (PR 7 left one behind), so the gate sweeps it unconditionally.
 sweep-stray:
 	rm -f ./*.new.json ./internal/*.new.json
+
+## fmt-check: fail when any Go file differs from gofmt's output.
+## gofmt -l exits 0 either way, so the listing itself is the verdict.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+	  echo "gofmt -l lists files needing gofmt -w:" >&2; echo "$$out" >&2; exit 1; fi
 
 ## ci: what the GitHub Actions verify job runs; alias of verify.
 ci: verify

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nteam %d activity over %d weeks (%d events):\n", tm.ID, module.SemesterWeeks, len(activity.Events))
+	fmt.Printf("\nteam %d activity over %d weeks (%d events):\n", tm.ID, module.SemesterWeeks, activity.Total())
 	for _, ch := range teamwork.Channels {
 		counts := activity.CountBy(ch)
 		total := 0

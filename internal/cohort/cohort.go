@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"pblparallel/internal/paperdata"
+	"pblparallel/internal/rngpool"
 )
 
 // Gender is recorded because team formation balances it.
@@ -136,7 +137,8 @@ func Generate(cfg Config, seed int64) (*Cohort, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngpool.Get(seed)
+	defer rngpool.Put(rng)
 	students := make([]Student, cfg.NStudents)
 	half := cfg.NStudents
 	if cfg.Sections == 2 {

@@ -41,7 +41,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("%d activity logs", len(o.ActivityByTeam))
 	}
 	for id, log := range o.ActivityByTeam {
-		if len(log.Events) == 0 {
+		if log.Total() == 0 {
 			t.Fatalf("team %d has no activity", id)
 		}
 	}

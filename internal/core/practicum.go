@@ -45,7 +45,7 @@ type PracticumResult struct {
 func runPracticum(formation *teams.Formation, activity map[int]*teamwork.Log, inj *fault.Injector, tc obs.TraceContext) (*PracticumResult, error) {
 	counts := make([]int, len(formation.Teams))
 	for i, tm := range formation.Teams {
-		counts[i] = len(activity[tm.ID].Events)
+		counts[i] = activity[tm.ID].Total()
 	}
 
 	// Scatter needs a rank-divisible slice; zero padding keeps the sum.

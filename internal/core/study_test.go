@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -124,12 +125,17 @@ func TestSharedSeedIndependentState(t *testing.T) {
 	}
 }
 
-// studyAllocBudget bounds the heap allocations of one paper study. The
-// dense survey sheets, exact-size activity logs and generated
-// calibration table brought a study from ~26,400 allocations to under
-// 1,000; the budget leaves headroom for instrumentation while keeping a
-// per-item or per-event allocation from creeping back.
-const studyAllocBudget = 2000
+// studyAllocBudget bounds the heap allocations of one paper study:
+// 762 measured, 815-830 under the race detector, which drops pooled
+// objects at random. The budget keeps 70 over the race reading, so a
+// per-team or per-student allocation creeping back fails it.
+const studyAllocBudget = 900
+
+// studyByteBudget bounds the bytes one paper study allocates, the
+// TotalAlloc delta over Run: ~270 KB measured, 345-365 KB under the
+// race detector. A per-event log or a fresh generator per team would
+// break it.
+const studyByteBudget = 450_000
 
 func TestStudyAllocationBudget(t *testing.T) {
 	cfg := PaperStudy()
@@ -145,4 +151,25 @@ func TestStudyAllocationBudget(t *testing.T) {
 		t.Fatalf("core.Run(PaperStudy()) made %.0f allocations, budget %d", allocs, studyAllocBudget)
 	}
 	t.Logf("core.Run(PaperStudy()): %.0f allocations (budget %d)", allocs, studyAllocBudget)
+}
+
+func TestStudyByteBudget(t *testing.T) {
+	cfg := PaperStudy()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perStudy := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perStudy > studyByteBudget {
+		t.Fatalf("core.Run(PaperStudy()) allocated %d bytes, budget %d", perStudy, studyByteBudget)
+	}
+	t.Logf("core.Run(PaperStudy()): %d bytes allocated (budget %d)", perStudy, studyByteBudget)
 }

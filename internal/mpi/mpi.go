@@ -224,10 +224,12 @@ func (c *Comm) Sendrecv(to, sendTag int, data any, from, recvTag int) (any, int,
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.Send(to, sendTag, data) }()
 	got, src, err := c.Recv(from, recvTag)
-	if err != nil {
-		return nil, 0, err
+	// Join the send on every path: one still in flight after Sendrecv
+	// returns could land after the world's inboxes are recycled.
+	if sendErr := <-errCh; err == nil {
+		err = sendErr
 	}
-	if err := <-errCh; err != nil {
+	if err != nil {
 		return nil, 0, err
 	}
 	return got, src, nil
@@ -277,6 +279,10 @@ func (b *centralBarrier) wait() {
 	}
 }
 
+// inboxPool recycles drained rank inboxes across Runs. The 1024-slot
+// buffer lets a rank run far ahead of its receivers before Send blocks.
+var inboxPool = sync.Pool{New: func() any { return make(chan message, 1024) }}
+
 // RankError wraps a failure on one rank.
 type RankError struct {
 	Rank int
@@ -311,7 +317,7 @@ func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 		opt(w)
 	}
 	for i := range w.inboxes {
-		w.inboxes[i] = make(chan message, 1024)
+		w.inboxes[i] = inboxPool.Get().(chan message)
 	}
 	var nics *sync.WaitGroup
 	if w.reliable {
@@ -361,6 +367,14 @@ func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 		nics.Wait()
 	}
 	worldSpan.End()
+	// Every rank and NIC has joined, so nothing sends to these inboxes
+	// again; an empty one can serve the next world. One still holding an
+	// undelivered message is left to the collector.
+	for _, in := range w.inboxes {
+		if len(in) == 0 {
+			inboxPool.Put(in)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

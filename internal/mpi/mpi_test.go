@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -449,4 +450,92 @@ func TestRankErrorUnwrap(t *testing.T) {
 	if re.Error() == "" || !errors.Is(re, base) {
 		t.Fatal("RankError plumbing")
 	}
+}
+
+// TestUndeliveredMessageDoesNotLeakIntoNextRun: a world that exits with
+// a message still queued must not hand it to a later world, whose
+// inboxes may come from the recycled pool.
+func TestUndeliveredMessageDoesNotLeakIntoNextRun(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		if err := Run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.Send(1, 7, "stale")
+			}
+			return nil // rank 1 never receives
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.Send(1, 1, i)
+			}
+			got, src, err := c.Recv(AnySource, AnyTag)
+			if err != nil {
+				return err
+			}
+			if got != i || src != 0 {
+				return fmt.Errorf("round %d: received %v from %d", i, got, src)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSendrecvJoinsSendOnError: Sendrecv returns only after its send
+// has completed, even when the receive fails, so no send can outlive
+// the world and land in a recycled inbox.
+func TestSendrecvJoinsSendOnError(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		if _, _, err := c.Sendrecv(1, 0, "x", 9, 0); err == nil {
+			return errors.New("bad source accepted")
+		}
+		if n := len(c.w.inboxes[1]); n != 1 {
+			return fmt.Errorf("Sendrecv returned with %d of its 1 message delivered", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRunsStayIsolated runs many worlds at once, some of them
+// leaving messages behind, on the shared inbox pool: every world sees
+// only its own traffic.
+func TestConcurrentRunsStayIsolated(t *testing.T) {
+	const worlds, rounds, n = 8, 25, 4
+	var wg sync.WaitGroup
+	for w := 0; w < worlds; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				id := w*rounds + r
+				err := Run(n, func(c *Comm) error {
+					next, prev := (c.Rank()+1)%n, (c.Rank()+n-1)%n
+					got, _, err := c.Sendrecv(next, 0, id, prev, AnyTag)
+					if err != nil {
+						return err
+					}
+					if got != id {
+						return fmt.Errorf("world %d received %v", id, got)
+					}
+					if r%3 == 0 {
+						return c.Send(next, 5, -id) // left undelivered
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

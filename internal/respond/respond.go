@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 
+	"pblparallel/internal/rngpool"
 	"pblparallel/internal/survey"
 )
 
@@ -169,7 +170,8 @@ func (g *Generator) Generate(n int, seed int64) (mid, end survey.WaveData, err e
 	if n < 2 {
 		return survey.WaveData{}, survey.WaveData{}, fmt.Errorf("respond: need n >= 2, got %d", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngpool.Get(seed)
+	defer rngpool.Put(rng)
 	mid = survey.NewWave(g.ins, survey.MidSemester, n)
 	end = survey.NewWave(g.ins, survey.EndOfTerm, n)
 	gamma := g.params.StudentCrossWave

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness
@@ -208,18 +209,56 @@ func MeanCI(xs []float64, confidence float64) (lo, hi float64, err error) {
 }
 
 // studentTQuantile inverts StudentTCDF by bisection; df >= 1 assumed.
+// The loop stops at its fixed point: once a step leaves lo and hi
+// unchanged, every later step would repeat it, so the result has the
+// same bits as the full 200 steps. Results are memoised per (p, df).
 func studentTQuantile(p, df float64) float64 {
 	if p == 0.5 {
 		return 0
 	}
+	key := tQuantileKey{p, df}
+	tQuantiles.mu.Lock()
+	q, ok := tQuantiles.m[key]
+	tQuantiles.mu.Unlock()
+	if ok {
+		return q
+	}
 	lo, hi := -1e3, 1e3
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
+		nlo, nhi := lo, hi
 		if StudentTCDF(mid, df) < p {
-			lo = mid
+			nlo = mid
 		} else {
-			hi = mid
+			nhi = mid
+		}
+		if nlo == lo && nhi == hi {
+			break
+		}
+		lo, hi = nlo, nhi
+	}
+	q = (lo + hi) / 2
+	tQuantiles.mu.Lock()
+	if len(tQuantiles.m) >= tQuantileCap {
+		for k := range tQuantiles.m {
+			delete(tQuantiles.m, k)
+			break
 		}
 	}
-	return (lo + hi) / 2
+	tQuantiles.m[key] = q
+	tQuantiles.mu.Unlock()
+	return q
 }
+
+// tQuantileCap bounds the quantile memo: df follows request-supplied
+// cohort sizes (up to 10,000 students), so an unbounded table would
+// grow with the distinct sizes a server has seen. A full table drops
+// an arbitrary entry per insert.
+const tQuantileCap = 256
+
+type tQuantileKey struct{ p, df float64 }
+
+var tQuantiles = struct {
+	mu sync.Mutex
+	m  map[tQuantileKey]float64
+}{m: make(map[tQuantileKey]float64, tQuantileCap)}

@@ -261,3 +261,73 @@ func TestStudentTQuantileInvertsCDF(t *testing.T) {
 		t.Fatalf("t(.975,120) = %v", q)
 	}
 }
+
+// referenceTQuantile is the fixed 200-step bisection studentTQuantile
+// must reproduce bit for bit.
+func referenceTQuantile(p, df float64) float64 {
+	if p == 0.5 {
+		return 0
+	}
+	lo, hi := -1e3, 1e3
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if StudentTCDF(mid, df) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+func TestStudentTQuantileMatchesFullBisection(t *testing.T) {
+	for df := 1.0; df < 3000; df++ {
+		for _, p := range []float64{0.1, 0.6, 0.9, 0.95, 0.975, 0.995} {
+			got, want := studentTQuantile(p, df), referenceTQuantile(p, df)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("df=%v p=%v: %v, 200-step bisection %v", df, p, got, want)
+			}
+		}
+	}
+}
+
+// TestTQuantileMemoBounded feeds MeanCI more distinct (confidence, n)
+// pairs than the memo holds, twice: the table stays at its cap and every
+// interval, memoised, evicted or recomputed, matches the 200-step
+// bisection bit for bit.
+func TestTQuantileMemoBounded(t *testing.T) {
+	xs := make([]float64, tQuantileCap/2+50)
+	for i := range xs {
+		xs[i] = float64(i%7) * 0.5
+	}
+	pairs := 0
+	for pass := 0; pass < 2; pass++ {
+		for n := 2; n <= len(xs); n++ {
+			for _, conf := range []float64{0.9, 0.95} {
+				if pass == 0 {
+					pairs++
+				}
+				lo, hi, err := MeanCI(xs[:n], conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := MustMean(xs[:n])
+				sd, err := StdDev(xs[:n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := referenceTQuantile(1-(1-conf)/2, float64(n-1))
+				se := sd / math.Sqrt(float64(n))
+				if math.Float64bits(lo) != math.Float64bits(m-q*se) || math.Float64bits(hi) != math.Float64bits(m+q*se) {
+					t.Fatalf("pass %d n=%d conf=%v: [%v, %v], reference [%v, %v]", pass, n, conf, lo, hi, m-q*se, m+q*se)
+				}
+			}
+		}
+	}
+	tQuantiles.mu.Lock()
+	size := len(tQuantiles.m)
+	tQuantiles.mu.Unlock()
+	if size != tQuantileCap {
+		t.Fatalf("memo holds %d entries after %d distinct pairs, cap %d", size, pairs, tQuantileCap)
+	}
+}

@@ -7,12 +7,14 @@
 package teams
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pblparallel/internal/cohort"
+	"pblparallel/internal/rngpool"
 	"pblparallel/internal/stats"
 )
 
@@ -104,7 +106,8 @@ func FormBalanced(c *cohort.Cohort, cfg Config, seed int64) (*Formation, error) 
 	if cfg.MinSize < 2 || cfg.MaxSize < cfg.MinSize {
 		return nil, fmt.Errorf("teams: bad size bounds [%d,%d]", cfg.MinSize, cfg.MaxSize)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngpool.Get(seed)
+	defer rngpool.Put(rng)
 	var all []Team
 	nextID := 0
 	for _, sec := range []int{1, 2} {
@@ -141,7 +144,8 @@ func FormSelfSelected(c *cohort.Cohort, cfg Config, seed int64) (*Formation, err
 	if cfg.MinSize < 2 || cfg.MaxSize < cfg.MinSize {
 		return nil, fmt.Errorf("teams: bad size bounds [%d,%d]", cfg.MinSize, cfg.MaxSize)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngpool.Get(seed)
+	defer rngpool.Put(rng)
 	var all []Team
 	nextID := 0
 	for _, sec := range []int{1, 2} {
@@ -238,20 +242,29 @@ func sizesFor(n, k int) []int {
 
 // dealSerpentine sorts by ability descending and snake-drafts into teams.
 func dealSerpentine(students []cohort.Student, nTeams, section int) []Team {
-	sorted := append([]cohort.Student(nil), students...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Ability() != sorted[j].Ability() {
-			return sorted[i].Ability() > sorted[j].Ability()
-		}
-		return sorted[i].ID < sorted[j].ID
+	// Sort small (ability, ID, index) keys rather than the students
+	// themselves, computing each ability once. Ability descending, then
+	// ID ascending, is a strict total order over a cohort's unique IDs,
+	// so the order does not depend on the sorting algorithm.
+	keys := make([]serpentineKey, len(students))
+	for i, s := range students {
+		keys[i] = serpentineKey{ability: s.Ability(), id: s.ID, idx: i}
+	}
+	slices.SortFunc(keys, func(a, b serpentineKey) int {
+		return cmp.Or(cmp.Compare(b.ability, a.ability), cmp.Compare(a.id, b.id))
 	})
+	// The deal gives every team at most ceil(n/nTeams) members, so one
+	// backing array, capped per team, holds all the rosters.
+	per := (len(students) + nTeams - 1) / nTeams
+	seats := make([]cohort.Student, nTeams*per)
 	teams := make([]Team, nTeams)
 	for i := range teams {
 		teams[i].Section = section
+		teams[i].Members = seats[i*per : i*per : (i+1)*per]
 	}
 	idx, dir := 0, 1
-	for _, s := range sorted {
-		teams[idx].Members = append(teams[idx].Members, s)
+	for _, k := range keys {
+		teams[idx].Members = append(teams[idx].Members, students[k.idx])
 		idx += dir
 		if idx == nTeams {
 			idx, dir = nTeams-1, -1
@@ -260,6 +273,11 @@ func dealSerpentine(students []cohort.Student, nTeams, section int) []Team {
 		}
 	}
 	return teams
+}
+
+type serpentineKey struct {
+	ability float64
+	id, idx int
 }
 
 // repairGenderIsolation swaps members between teams so that no team has

@@ -1,6 +1,8 @@
 package teams
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +277,69 @@ func TestGenderRepairReducesLoneFemales(t *testing.T) {
 	// keep it below half the teams.
 	if rep.LoneFemaleTeams > len(f.Teams)/2 {
 		t.Fatalf("%d of %d teams have a lone female", rep.LoneFemaleTeams, len(f.Teams))
+	}
+}
+
+// referenceSerpentineOrder is the sort.Slice ordering the keyed sort
+// replaced.
+func referenceSerpentineOrder(students []cohort.Student) []cohort.Student {
+	sorted := append([]cohort.Student(nil), students...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Ability() != sorted[j].Ability() {
+			return sorted[i].Ability() > sorted[j].Ability()
+		}
+		return sorted[i].ID < sorted[j].ID
+	})
+	return sorted
+}
+
+// TestDealSerpentineMatchesSortSlice deals tie-heavy rosters — few
+// distinct GPAs and experience levels, IDs in shuffled order — and the
+// paper cohort, and requires every team to match a serpentine deal of
+// the sort.Slice order member for member.
+func TestDealSerpentineMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var rosters [][]cohort.Student
+	for r := 0; r < 20; r++ {
+		n := 10 + rng.Intn(60)
+		roster := make([]cohort.Student, n)
+		for i, id := range rng.Perm(n) {
+			lvl := cohort.ExperienceLevel(rng.Intn(2))
+			roster[i] = cohort.Student{ID: id, GPA: float64(2 + rng.Intn(3)), Programming: lvl, Systems: lvl}
+		}
+		rosters = append(rosters, roster)
+	}
+	rosters = append(rosters, paperCohort(t, 3).Section(1))
+	for ri, roster := range rosters {
+		ties := map[float64]int{}
+		for _, s := range roster {
+			ties[s.Ability()]++
+		}
+		if ri < 20 && len(ties) == len(roster) {
+			t.Fatalf("roster %d has no ability ties", ri)
+		}
+		nTeams := len(roster) / 4
+		got := dealSerpentine(roster, nTeams, 1)
+		want := make([]Team, nTeams)
+		idx, dir := 0, 1
+		for _, s := range referenceSerpentineOrder(roster) {
+			want[idx].Members = append(want[idx].Members, s)
+			idx += dir
+			if idx == nTeams {
+				idx, dir = nTeams-1, -1
+			} else if idx < 0 {
+				idx, dir = 0, 1
+			}
+		}
+		for ti := range want {
+			if len(got[ti].Members) != len(want[ti].Members) {
+				t.Fatalf("roster %d team %d: %d members, reference %d", ri, ti, len(got[ti].Members), len(want[ti].Members))
+			}
+			for mi, s := range want[ti].Members {
+				if got[ti].Members[mi].ID != s.ID {
+					t.Fatalf("roster %d team %d slot %d: student %d, reference %d", ri, ti, mi, got[ti].Members[mi].ID, s.ID)
+				}
+			}
+		}
 	}
 }

@@ -9,9 +9,9 @@ package teamwork
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
+	"pblparallel/internal/rngpool"
 	"pblparallel/internal/teams"
 )
 
@@ -84,8 +84,7 @@ func (c Channel) Kind() EventKind {
 	}
 }
 
-// Event is one logged activity: 12 bytes and no pointers, so a
-// semester's log is one flat array the garbage collector never scans.
+// Event is one logged activity, as Log.Events expands it.
 type Event struct {
 	Week    int32
 	Channel Channel
@@ -95,41 +94,75 @@ type Event struct {
 // Kind is the event's activity unit, derived from its channel.
 func (e Event) Kind() EventKind { return e.Channel.Kind() }
 
-// Log is a team's activity record for the semester.
+// Log is a team's activity record for the semester. It holds counts,
+// not events: one int32 per (week, member, channel), in the order the
+// simulation draws them — week-major, then roster order, then Channels
+// order — so a semester costs 16 bytes per member-week however active
+// the team is. The study reads only totals and per-student shares,
+// which integer sums give exactly; Events expands the log on demand.
 type Log struct {
-	TeamID int
-	Events []Event
+	TeamID  int
+	members []int32 // student IDs in roster order
+	counts  []int32 // len(counts) = weeks * len(members) * len(Channels)
+	total   int     // sum of counts
 }
 
-// CountBy returns events per student on one channel.
-func (l *Log) CountBy(channel Channel) map[int]int {
-	out := map[int]int{}
-	for _, e := range l.Events {
-		if e.Channel == channel {
-			out[int(e.Student)]++
+// Total returns the number of events in the log.
+func (l *Log) Total() int { return l.total }
+
+// Events expands the log into one Event per logged activity, ordered by
+// week, then roster order, then channel.
+func (l *Log) Events() []Event {
+	if l.total == 0 {
+		return nil
+	}
+	out := make([]Event, 0, l.total)
+	for i, n := range l.counts {
+		ev := Event{
+			Week:    int32(i/(len(l.members)*len(Channels))) + 1,
+			Channel: Channels[i%len(Channels)],
+			Student: l.members[i/len(Channels)%len(l.members)],
+		}
+		for k := int32(0); k < n; k++ {
+			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-// Participation returns each student's share of the team's total
-// activity (all channels), in [0,1]; an empty log returns nil.
-func (l *Log) Participation() map[int]float64 {
-	counts := map[int]int{}
-	total := 0
-	for _, e := range l.Events {
-		counts[int(e.Student)]++
-		total++
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make(map[int]float64, len(counts))
-	for s, c := range counts {
-		out[s] = float64(c) / float64(total)
+// byStudent sums the counts on the channels keep selects per student
+// ID; students with none are absent.
+func (l *Log) byStudent(keep func(Channel) bool) map[int]int {
+	out := map[int]int{}
+	for i, n := range l.counts {
+		if n > 0 && keep(Channels[i%len(Channels)]) {
+			out[int(l.members[i/len(Channels)%len(l.members)])] += int(n)
+		}
 	}
 	return out
 }
+
+// CountBy returns events per student on one channel; students with no
+// events on it are absent.
+func (l *Log) CountBy(channel Channel) map[int]int {
+	return l.byStudent(func(c Channel) bool { return c == channel })
+}
+
+// Participation returns each student's share of the team's total
+// activity (all channels), in [0,1]; an empty log returns nil.
+func (l *Log) Participation() map[int]float64 {
+	if l.total == 0 {
+		return nil
+	}
+	counts := l.byStudent(allChannels)
+	out := make(map[int]float64, len(counts))
+	for s, c := range counts {
+		out[s] = float64(c) / float64(l.total)
+	}
+	return out
+}
+
+func allChannels(Channel) bool { return true }
 
 // SimulateTeamActivity generates a deterministic semester of channel
 // events for a team: each member's weekly activity rate scales with
@@ -142,17 +175,16 @@ func SimulateTeamActivity(tm teams.Team, weeks int, seed int64) (*Log, error) {
 	if tm.Size() == 0 {
 		return nil, fmt.Errorf("teamwork: empty team %d", tm.ID)
 	}
-	for _, m := range tm.Members {
+	members := make([]int32, tm.Size())
+	for i, m := range tm.Members {
 		if m.ID < math.MinInt32 || m.ID > math.MaxInt32 {
 			return nil, fmt.Errorf("teamwork: team %d member ID %d outside the event log's int32 range", tm.ID, m.ID)
 		}
+		members[i] = int32(m.ID)
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(tm.ID)<<17))
-	// First pass: draw every (week, member, channel) event count in the
-	// order the RNG has always been consumed, so the log can be
-	// allocated at its exact size before the second pass fills it.
-	counts := make([]int32, 0, weeks*tm.Size()*len(Channels))
-	total := 0
+	rng := rngpool.Get(seed ^ int64(tm.ID)<<17)
+	defer rngpool.Put(rng)
+	log := &Log{TeamID: tm.ID, members: members, counts: make([]int32, 0, weeks*tm.Size()*len(Channels))}
 	for week := 1; week <= weeks; week++ {
 		for _, m := range tm.Members {
 			rate := 1 + m.Aptitude/4
@@ -161,21 +193,8 @@ func SimulateTeamActivity(tm teams.Team, weeks int, seed int64) (*Log, error) {
 			}
 			for _, ch := range Channels {
 				n := int(channelBase[ch]*rate + rng.Float64())
-				counts = append(counts, int32(n))
-				total += n
-			}
-		}
-	}
-	log := &Log{TeamID: tm.ID, Events: make([]Event, 0, total)}
-	next := 0
-	for week := 1; week <= weeks; week++ {
-		for _, m := range tm.Members {
-			for _, ch := range Channels {
-				ev := Event{Week: int32(week), Channel: ch, Student: int32(m.ID)}
-				for k := int32(0); k < counts[next]; k++ {
-					log.Events = append(log.Events, ev)
-				}
-				next++
+				log.counts = append(log.counts, int32(n))
+				log.total += n
 			}
 		}
 	}
@@ -218,12 +237,9 @@ func GroundRules() map[string][]string {
 
 // sortedStudents returns the log's distinct student IDs, ordered.
 func (l *Log) sortedStudents() []int {
-	set := map[int]bool{}
-	for _, e := range l.Events {
-		set[int(e.Student)] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
+	counts := l.byStudent(allChannels)
+	out := make([]int, 0, len(counts))
+	for s := range counts {
 		out = append(out, s)
 	}
 	sort.Ints(out)

@@ -2,6 +2,7 @@ package teamwork
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pblparallel/internal/cohort"
@@ -49,14 +50,15 @@ func TestSimulateTeamActivityDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Events) != len(b.Events) {
+	ae, be := a.Events(), b.Events()
+	if len(ae) != len(be) || len(ae) != a.Total() {
 		t.Fatal("nondeterministic simulation")
 	}
-	if len(a.Events) == 0 {
+	if len(ae) == 0 {
 		t.Fatal("no events generated")
 	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
+	for i := range ae {
+		if ae[i] != be[i] {
 			t.Fatal("event mismatch")
 		}
 	}
@@ -275,7 +277,7 @@ func TestSimulateAllocationsIndependentOfEvents(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return allocs, len(log.Events)
+		return allocs, log.Total()
 	}
 	baseAllocs, baseEvents := measure(1)
 	for _, weeks := range []int{15, 150} {
@@ -294,6 +296,93 @@ func TestEventKindFollowsChannel(t *testing.T) {
 	for ch, kind := range want {
 		if got := (Event{Channel: ch}).Kind(); got != kind {
 			t.Fatalf("%v event kind %q, want %q", ch, got, kind)
+		}
+	}
+}
+
+// referenceEvents is the event-list simulation the count-based log
+// replaced: a fresh generator per team and one Event per activity.
+func referenceEvents(tm teams.Team, weeks int, seed int64) []Event {
+	rng := rand.New(rand.NewSource(seed ^ int64(tm.ID)<<17))
+	var events []Event
+	for week := 1; week <= weeks; week++ {
+		for _, m := range tm.Members {
+			rate := 1 + m.Aptitude/4
+			if rate < 0.1 {
+				rate = 0.1
+			}
+			for _, ch := range Channels {
+				n := int(channelBase[ch]*rate + rng.Float64())
+				for k := 0; k < n; k++ {
+					events = append(events, Event{Week: int32(week), Channel: ch, Student: int32(m.ID)})
+				}
+			}
+		}
+	}
+	return events
+}
+
+// TestLogMatchesEventReference pins the count-based log to the event
+// list bit for bit: the expansion, the per-channel counts and every
+// participation share (compared as float64 bits).
+func TestLogMatchesEventReference(t *testing.T) {
+	c, err := cohort.Generate(cohort.PaperConfig(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := teams.FormBalanced(c, teams.PaperConfig(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range f.Teams {
+		for _, weeks := range []int{1, 15} {
+			for _, seed := range []int64{0, 7, -3} {
+				log, err := SimulateTeamActivity(tm, weeks, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceEvents(tm, weeks, seed)
+				got := log.Events()
+				if len(got) != len(ref) || log.Total() != len(ref) {
+					t.Fatalf("team %d: %d events (total %d), reference %d", tm.ID, len(got), log.Total(), len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("team %d event %d: %+v, reference %+v", tm.ID, i, got[i], ref[i])
+					}
+				}
+				all := map[int]int{}
+				for _, e := range ref {
+					all[int(e.Student)]++
+				}
+				for _, ch := range Channels {
+					want := map[int]int{}
+					for _, e := range ref {
+						if e.Channel == ch {
+							want[int(e.Student)]++
+						}
+					}
+					gotCh := log.CountBy(ch)
+					if len(gotCh) != len(want) {
+						t.Fatalf("team %d %v: CountBy %v, reference %v", tm.ID, ch, gotCh, want)
+					}
+					for s, n := range want {
+						if gotCh[s] != n {
+							t.Fatalf("team %d %v: CountBy %v, reference %v", tm.ID, ch, gotCh, want)
+						}
+					}
+				}
+				part := log.Participation()
+				if len(part) != len(all) {
+					t.Fatalf("team %d: %d participants, reference %d", tm.ID, len(part), len(all))
+				}
+				for s, n := range all {
+					want := float64(n) / float64(len(ref))
+					if math.Float64bits(part[s]) != math.Float64bits(want) {
+						t.Fatalf("team %d student %d: share %v, reference %v", tm.ID, s, part[s], want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -55,30 +55,32 @@ race:
 golden:
 	$(GO) test -run TestGolden .
 
+## FUZZ_TARGETS: every fuzz target as package:Func. fuzz-smoke and
+## fuzz both loop over it through fuzz_each, which takes the fuzz time.
+FUZZ_TARGETS := \
+	./internal/obs:FuzzHistogramQuantile \
+	./internal/armsim:FuzzAsmParse \
+	./internal/survey:FuzzSurveyScores \
+	./internal/survey:FuzzReadCSV \
+	./internal/stats:FuzzMomentsMerge \
+	./internal/stats:FuzzCoMomentsMerge \
+	./internal/obs/tsdb:FuzzTSDBChunkDecode \
+	./internal/store:FuzzDecodeEntry
+fuzz_each = @set -e; for t in $(FUZZ_TARGETS); do \
+	echo "$(GO) test $${t%%:*} -run '^$$' -fuzz $${t\#\#*:} -fuzztime $(1)"; \
+	$(GO) test $${t%%:*} -run '^$$' -fuzz $${t\#\#*:} -fuzztime $(1); \
+done
+
 ## fuzz-smoke: 2s of coverage-guided fuzzing per target — enough to
 ## exercise the corpora plus a few thousand mutations in CI.
 fuzz-smoke:
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime 2s
-	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime 2s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
-	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime 2s
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 2s
+	$(call fuzz_each,2s)
 
 ## fuzz: the longer run — 30s per target locally, raised by the
 ## nightly workflow with FUZZTIME=5m.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
+	$(call fuzz_each,$(FUZZTIME))
 
 ## cover-stats: hold the mergeable-sketch implementation to a >=90%
 ## statement-coverage floor. The sketches are the numeric foundation

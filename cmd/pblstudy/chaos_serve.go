@@ -53,12 +53,8 @@ func serveChaos(f *chaosFlags, counts []int) ([]serveChaosJSON, error) {
 			defer obs.Install(nil)
 		}
 		rec = flightrec.New(flightrec.Config{Dir: f.flightrecDir, Window: 5 * time.Minute})
-		rec.Start()
 		flightrec.Install(rec)
-		defer func() {
-			flightrec.Install(nil)
-			rec.Stop()
-		}()
+		defer flightrec.Install(nil)
 		p = prof.New(prof.Config{
 			Interval:      2 * time.Second,
 			CPUDuration:   500 * time.Millisecond,
@@ -169,7 +165,10 @@ func serveChaos(f *chaosFlags, counts []int) ([]serveChaosJSON, error) {
 	if failed {
 		// The black box earns its keep: capture the sweep's last window
 		// so CI can attach exactly what the service saw at drift time.
+		// The last faulted server's TSDB was detached when it drained;
+		// reattach it so the bundle embeds that server's history.
 		log := obs.Log().With("pblstudy chaos")
+		rec.AttachTSDB(lastTSDB)
 		if path := rec.Trigger("chaos-serve-drift", obs.TraceID{}); path != "" {
 			log.Error(context.Background(), "sweep drifted; flight recorder postmortem written", "path", path)
 		}

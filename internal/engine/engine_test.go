@@ -149,16 +149,34 @@ func TestSweepRunTimeout(t *testing.T) {
 	}
 }
 
+// splitMixSeeds streams well-mixed 64-bit seeds derived from base by
+// the SplitMix64 finalizer. Unlike SequentialSeeds, nearby indices give
+// statistically unrelated seeds, so sweeps at different bases do not
+// share runs. Output i is the i-th value of a SplitMix64 generator
+// seeded with base, computed directly (no sequential state), so any
+// worker can derive any run's seed independently. The engine's callers
+// all use SequentialSeeds; the tests use this stream to sweep seeds
+// that share no structure.
+func splitMixSeeds(base int64) SeedStream {
+	const gamma = 0x9E3779B97F4A7C15
+	return func(i int) int64 {
+		z := uint64(base) + (uint64(i)+1)*gamma
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return int64(z ^ (z >> 31))
+	}
+}
+
 func TestSeedStreams(t *testing.T) {
 	seq := SequentialSeeds(100)
 	if seq(0) != 100 || seq(7) != 107 {
 		t.Fatalf("sequential stream broken: %d, %d", seq(0), seq(7))
 	}
-	sm := SplitMixSeeds(100)
+	sm := splitMixSeeds(100)
 	// Pure: same index, same seed, in any call order.
 	a, b := sm(5), sm(0)
 	if sm(5) != a || sm(0) != b {
-		t.Fatal("SplitMixSeeds is not pure")
+		t.Fatal("splitMixSeeds is not pure")
 	}
 	// Well-mixed: distinct indices and distinct bases disagree.
 	seen := map[int64]bool{}
@@ -168,7 +186,7 @@ func TestSeedStreams(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("only %d distinct seeds in 100 indices", len(seen))
 	}
-	if SplitMixSeeds(101)(0) == sm(0) {
+	if splitMixSeeds(101)(0) == sm(0) {
 		t.Fatal("different bases share a first seed")
 	}
 }

@@ -36,26 +36,18 @@ type PoolOption func(*poolConfig)
 type poolConfig struct {
 	workers int
 	queue   int
-	rt      *sched.Runtime
 }
 
 // WithPoolWorkers sets the worker count; n <= 0 selects
-// runtime.NumCPU(). Ignored when WithScheduler supplies a runtime.
+// runtime.NumCPU().
 func WithPoolWorkers(n int) PoolOption {
 	return func(c *poolConfig) { c.workers = n }
 }
 
 // WithQueueDepth bounds the admission queue (negative is clamped to
 // zero — every job must find an idle worker immediately or be shed).
-// Ignored when WithScheduler supplies a runtime.
 func WithQueueDepth(n int) PoolOption {
 	return func(c *poolConfig) { c.queue = n }
-}
-
-// WithScheduler adopts an existing runtime instead of creating one.
-// The pool takes ownership: Close closes the runtime.
-func WithScheduler(rt *sched.Runtime) PoolOption {
-	return func(c *poolConfig) { c.rt = rt }
 }
 
 // Pool executes submitted jobs on a fixed set of workers with a
@@ -65,26 +57,21 @@ type Pool struct {
 	rt *sched.Runtime
 }
 
-// NewPool builds the admission pool: NewPool(WithPoolWorkers(n),
-// WithQueueDepth(q)) starts a dedicated scheduler runtime, and
-// NewPool(WithScheduler(rt)) wraps one the caller already has. With
-// no options it defaults to runtime.NumCPU() workers and a
-// zero-length queue.
+// NewPool builds the admission pool on a dedicated scheduler runtime:
+// NewPool(WithPoolWorkers(n), WithQueueDepth(q)). With no options it
+// defaults to runtime.NumCPU() workers and a zero-length queue.
 func NewPool(opts ...PoolOption) *Pool {
 	var cfg poolConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.rt == nil {
-		if cfg.workers <= 0 {
-			cfg.workers = runtime.NumCPU()
-		}
-		if cfg.queue < 0 {
-			cfg.queue = 0
-		}
-		cfg.rt = sched.New(sched.WithWorkers(cfg.workers), sched.WithQueueDepth(cfg.queue))
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.NumCPU()
 	}
-	return &Pool{rt: cfg.rt}
+	if cfg.queue < 0 {
+		cfg.queue = 0
+	}
+	return &Pool{rt: sched.New(sched.WithWorkers(cfg.workers), sched.WithQueueDepth(cfg.queue))}
 }
 
 // Runtime exposes the pool's scheduler so engines can share its

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pblparallel/internal/sched"
 )
 
 func TestPoolRunsEveryJob(t *testing.T) {
@@ -140,28 +138,4 @@ func TestPoolStatsConsistentUnderHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestPoolSharedScheduler: a pool built on an adopted runtime submits
-// through it, and Close closes the adopted runtime.
-func TestPoolSharedScheduler(t *testing.T) {
-	rt := sched.New(sched.WithWorkers(2), sched.WithQueueDepth(4))
-	p := NewPool(WithScheduler(rt))
-	if p.Runtime() != rt {
-		t.Fatal("pool did not adopt the supplied runtime")
-	}
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	if err := p.Submit(func() { ran.Add(1); wg.Done() }); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	p.Close()
-	if err := rt.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("adopted runtime should be closed by pool.Close, got %v", err)
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("ran %d", ran.Load())
-	}
 }

@@ -15,7 +15,7 @@ import (
 // independently — the same pure-function-of-index discipline the seed
 // streams use.
 func reduceValue(i int) float64 {
-	s := SplitMixSeeds(977)(i)
+	s := splitMixSeeds(977)(i)
 	// Map the 63-bit seed onto [0, 8) with an offset so the data is
 	// neither constant nor centered at zero.
 	return 3.0 + float64(uint64(s)%(1<<20))/float64(1<<17)

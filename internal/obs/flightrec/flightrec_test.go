@@ -111,15 +111,15 @@ func TestTriggerRateLimitAndArtifacts(t *testing.T) {
 	if !bytes.Equal(r.LastBundle(), raw) {
 		t.Fatal("LastBundle differs from the written file")
 	}
-	if r.Dumps() != 1 {
-		t.Fatalf("Dumps() = %d, want 1", r.Dumps())
+	if r.dumps.Value() != 1 {
+		t.Fatalf("dumps counter = %d, want 1", r.dumps.Value())
 	}
 
 	// Within MinGap: suppressed.
 	if p := r.Trigger("again", trace); p != "" {
 		t.Fatalf("second Trigger inside MinGap wrote %q", p)
 	}
-	if r.Dumps() != 1 {
+	if r.dumps.Value() != 1 {
 		t.Fatal("suppressed trigger still counted as a dump")
 	}
 }
@@ -212,9 +212,8 @@ func TestBundleWithHistogramFamilies(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Event(KindShed, "x", 0, obs.TraceID{})
-	r.Start()
-	r.Stop()
-	if r.Events() != nil || r.LastBundle() != nil || r.Dumps() != 0 {
+	r.AttachTSDB(nil)
+	if r.Events() != nil || r.LastBundle() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	if r.Trigger("x", obs.TraceID{}) != "" {
@@ -234,35 +233,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Event allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestSamplerCapturesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("test_ticks_total", "ticks")
-	c.Inc()
-	r := newTestRecorder(Config{Registry: reg, Window: time.Minute, SampleInterval: time.Millisecond})
-	r.Start()
-	defer r.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var buf bytes.Buffer
-		if err := r.WriteBundle(&buf, "sampler", obs.TraceID{}); err != nil {
-			t.Fatal(err)
-		}
-		var b Bundle
-		if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range b.Samples {
-			if s.Name == "test_ticks_total" && s.Value == 1 {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler never captured test_ticks_total; samples = %+v", b.Samples)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -308,7 +278,8 @@ func TestBundleEmbedsTSDBWindow(t *testing.T) {
 	reg.Counter("demo_total", "demo").Add(5)
 	db.SampleOnce(now.Add(-1 * time.Second))
 
-	r := newTestRecorder(Config{Window: time.Minute, Registry: reg, TSDB: db})
+	r := newTestRecorder(Config{Window: time.Minute, Registry: reg})
+	r.AttachTSDB(db)
 	var buf bytes.Buffer
 	if err := r.WriteBundle(&buf, "test", obs.TraceID{}); err != nil {
 		t.Fatalf("WriteBundle: %v", err)
@@ -329,6 +300,13 @@ func TestBundleEmbedsTSDBWindow(t *testing.T) {
 	if demo.Samples[0].V != 5 || demo.Samples[1].V != 10 {
 		t.Fatalf("embedded samples = %+v, want values 5 then 10", demo.Samples)
 	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["metric_samples"]; ok {
+		t.Fatal("bundle still carries metric_samples; history lives in the tsdb window")
+	}
 
 	// Detach: the next bundle carries no TSDB window.
 	r.AttachTSDB(nil)
@@ -342,5 +320,49 @@ func TestBundleEmbedsTSDBWindow(t *testing.T) {
 	}
 	if len(b2.TSDB) != 0 {
 		t.Fatalf("detached recorder still embedded %d series", len(b2.TSDB))
+	}
+}
+
+// TestEventsSortMatchesInsertionSort pins the bundle's event order: the
+// stable library sort must order a full ring with tied timestamps
+// exactly as the insertion sort it replaced did.
+func TestEventsSortMatchesInsertionSort(t *testing.T) {
+	r := newTestRecorder(Config{Capacity: 4096, Window: time.Hour})
+	total := 0
+	for i := range r.shards {
+		total += len(r.shards[i].buf)
+	}
+	// Fill every slot directly, a few distinct instants per shard so
+	// ties fall both within and across shards.
+	base := time.Now().UnixNano()
+	for i := range r.shards {
+		sh := &r.shards[i]
+		for j := range sh.buf {
+			sh.buf[j] = event{at: base + int64((j*7+i*3)%5), kind: KindRetry, key: uint64(i<<16 | j)}
+		}
+		sh.next = uint64(len(sh.buf))
+	}
+	got := r.Events()
+	if len(got) != total {
+		t.Fatalf("Events() = %d records from a full %d-slot ring", len(got), total)
+	}
+
+	// Rebuild the unsorted collection order and apply the old sort.
+	want := make([]EventRecord, 0, total)
+	for i := range r.shards {
+		for _, e := range r.shards[i].buf {
+			want = append(want, EventRecord{At: time.Unix(0, e.at), Kind: e.kind.String(), Key: e.key})
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		for j := i; j > 0 && want[j].At.Before(want[j-1].At); j-- {
+			want[j], want[j-1] = want[j-1], want[j]
+		}
+	}
+	for i := range want {
+		if !got[i].At.Equal(want[i].At) || got[i].Key != want[i].Key {
+			t.Fatalf("event %d = {%v %d}, insertion sort gives {%v %d}",
+				i, got[i].At, got[i].Key, want[i].At, want[i].Key)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -179,20 +178,10 @@ func appendLogValue(b *strings.Builder, s string) {
 	b.WriteString(strconv.Quote(s))
 }
 
-// defaultLogger is the process-wide logger, stderr/info until replaced.
-var defaultLogger atomic.Pointer[Logger]
+// defaultLogger is the process-wide logger: stderr at info level.
+var defaultLogger = NewLogger(os.Stderr, LogInfo)
 
-func init() {
-	defaultLogger.Store(NewLogger(os.Stderr, LogInfo))
-}
-
-// SetLogger replaces the process-wide logger returned by Log; nil
-// silences it (every method is nil-safe).
-func SetLogger(l *Logger) {
-	defaultLogger.Store(l)
-}
-
-// Log returns the process-wide logger (possibly nil when silenced).
+// Log returns the process-wide logger.
 func Log() *Logger {
-	return defaultLogger.Load()
+	return defaultLogger
 }

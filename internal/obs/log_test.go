@@ -108,16 +108,3 @@ func TestParseLogLevel(t *testing.T) {
 		}
 	}
 }
-
-func TestSetLogger(t *testing.T) {
-	old := Log()
-	defer SetLogger(old)
-	var buf syncBuf
-	SetLogger(NewLogger(&buf, LogInfo).With("swap"))
-	Log().Info(context.Background(), "via process logger")
-	if !strings.Contains(buf.String(), "comp=swap") {
-		t.Fatalf("process logger not swapped: %q", buf.String())
-	}
-	SetLogger(nil)
-	Log().Info(context.Background(), "silenced") // nil-safe
-}

@@ -11,9 +11,7 @@
 // The store obeys the repo's observability contract: sampling never
 // changes what the system computes (it only reads the same atomics
 // /metrics reads), and the per-sample append path allocates nothing in
-// steady state. Chunks additionally have a mergeable on-the-wire
-// encoding (Encode/Decode/Merge) — the shape cross-node federation
-// needs, mirroring how mega.Summary.Merge folds shard summaries.
+// steady state.
 package tsdb
 
 import (
@@ -84,7 +82,8 @@ func (c *Chunk) MaxT() int64 { return c.tLast }
 
 // Append adds one sample. Timestamps are expected non-decreasing per
 // series (the sampler's clock); the encoding itself handles arbitrary
-// deltas, which the wire round trip relies on.
+// deltas, wrapping in two's complement so even extreme timestamps
+// round-trip.
 func (c *Chunk) Append(t int64, v float64) {
 	switch c.n {
 	case 0:
@@ -300,9 +299,8 @@ func (it *Iter) nextValue() bool {
 			sig = 64
 		}
 		if lead+sig > 64 {
-			// Unreachable from the encoder; reachable from corrupted or
-			// adversarial wire bytes — reject instead of shifting by a
-			// negative amount.
+			// Unreachable from the encoder; a corrupted buffer is
+			// rejected instead of shifting by a negative amount.
 			it.err = fmt.Errorf("tsdb: xor window overflow (leading %d + significant %d > 64)", lead, sig)
 			return false
 		}
@@ -328,8 +326,8 @@ func (it *Iter) At() Sample { return Sample{T: it.t, V: it.v} }
 // Err reports the first decode error, nil on clean exhaustion.
 func (it *Iter) Err() error { return it.err }
 
-// Samples decodes the whole chunk (the encoder's output always
-// decodes; the error path exists for chunks rebuilt from wire bytes).
+// Samples decodes the whole chunk. The encoder's output always
+// decodes; the error reports a corrupted buffer.
 func (c *Chunk) Samples() ([]Sample, error) {
 	out := make([]Sample, 0, c.n)
 	it := c.Iter()

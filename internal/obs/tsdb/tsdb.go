@@ -229,8 +229,9 @@ func (db *DB) SampleOnce(now time.Time) {
 	}
 }
 
-// AppendSample feeds one hand-built observation — the test and
-// federation ingest path (the sampler uses the same series machinery).
+// AppendSample feeds one hand-built observation at a chosen instant
+// through the sampler's series machinery. Tests outside this package
+// (the SLO engine's burn-rate cases) build their histories with it.
 func (db *DB) AppendSample(name string, labels []obs.Label, typ string, t int64, v float64) {
 	db.appendPoint(name, labels, typ, t, v)
 }
@@ -393,16 +394,6 @@ func (db *DB) Keys() []string {
 	return keys
 }
 
-// SeriesCount reports how many series the store tracks.
-func (db *DB) SeriesCount() int {
-	if db == nil {
-		return 0
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.series)
-}
-
 // Label returns the value of the named label on a series ("" when
 // absent) — the selector helper the SLO engine and quantile evaluation
 // lean on.
@@ -415,15 +406,9 @@ func LabelValue(labels []obs.Label, key string) string {
 	return ""
 }
 
-// active is the process-wide store; nil means disabled. Installed by
-// the daemon CLI so subsystems that cannot be handed a DB directly
-// (signal handlers, crash paths) can still reach the history.
+// active is the process-wide store. Nothing reads it: Install remains
+// only because perfbench's armStack (a separate module) still calls it.
 var active atomic.Pointer[DB]
 
-// Install makes db the process-wide store returned by Active; nil
-// uninstalls.
+// Install stores db as the process-wide store; nil uninstalls.
 func Install(db *DB) { active.Store(db) }
-
-// Active returns the installed store, or nil when disabled. All DB
-// methods are safe on the nil result.
-func Active() *DB { return active.Load() }

@@ -134,7 +134,7 @@ func TestDBMaxSeries(t *testing.T) {
 	for _, id := range []string{"a", "b", "c", "d", "e"} {
 		db.AppendSample("m", labels(id), "gauge", 1000, 1)
 	}
-	if got := db.SeriesCount(); got != 3 {
+	if got := len(db.Keys()); got != 3 {
 		t.Fatalf("series count %d, want 3 (MaxSeries bound)", got)
 	}
 	// Existing series still accept appends past the bound.

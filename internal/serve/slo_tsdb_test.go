@@ -281,4 +281,21 @@ func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 	if after := rec.LastBundle(); string(after) != before {
 		t.Fatal("steady burn re-tripped; trips must be rising-edge only")
 	}
+
+	// An on-demand bundle reads its history from the attached TSDB: it
+	// carries the tsdb window and no metric_samples of its own.
+	resp, body := get(t, ts, ts.URL+"/debug/flightrec")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/flightrec status %d: %s", resp.StatusCode, body)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatalf("on-demand bundle not valid JSON: %v", err)
+	}
+	if len(keys["tsdb"]) == 0 || string(keys["tsdb"]) == "null" {
+		t.Fatal("on-demand bundle carries no tsdb window")
+	}
+	if _, ok := keys["metric_samples"]; ok {
+		t.Fatal("on-demand bundle still carries metric_samples")
+	}
 }

@@ -29,7 +29,7 @@ func BenchmarkDiskHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	k := KeyOf([]byte("bench|disk-hit"))
+	k := keyOf([]byte("bench|disk-hit"))
 	body := benchBody()
 	s.Put(k, body)
 	s.Flush()
@@ -57,7 +57,7 @@ func BenchmarkDiskPut(b *testing.B) {
 	body := benchBody()
 	keys := make([]Key, b.N)
 	for i := range keys {
-		keys[i] = KeyOf([]byte(fmt.Sprintf("bench|disk-put|%d", i)))
+		keys[i] = keyOf([]byte(fmt.Sprintf("bench|disk-put|%d", i)))
 	}
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
@@ -70,7 +70,7 @@ func BenchmarkDiskPut(b *testing.B) {
 // BenchmarkCompress isolates the codec's encode half (header + deflate
 // at BestSpeed into a reused buffer).
 func BenchmarkCompress(b *testing.B) {
-	k := KeyOf([]byte("bench|compress"))
+	k := keyOf([]byte("bench|compress"))
 	body := benchBody()
 	var buf bytes.Buffer
 	b.SetBytes(int64(len(body)))
@@ -87,7 +87,7 @@ func BenchmarkCompress(b *testing.B) {
 // BenchmarkDecompress isolates the decode half (verify + inflate +
 // both digests) over one encoded image.
 func BenchmarkDecompress(b *testing.B) {
-	k := KeyOf([]byte("bench|decompress"))
+	k := keyOf([]byte("bench|decompress"))
 	body := benchBody()
 	var buf bytes.Buffer
 	if err := encodeEntry(k, body, &buf); err != nil {

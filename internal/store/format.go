@@ -68,12 +68,6 @@ func NewKey(sum [sha256.Size]byte) Key {
 	return Key{Sum: sum, Hex: hex.EncodeToString(sum[:])}
 }
 
-// KeyOf hashes a canonical request representation, mirroring the
-// in-memory cache's key derivation.
-func KeyOf(canonical []byte) Key {
-	return NewKey(sha256.Sum256(canonical))
-}
-
 // word folds the digest into the 64-bit key the fault injector draws
 // on — the same fold the serving cache uses, so the two tiers' fault
 // decisions key off identical material.

@@ -17,6 +17,12 @@ import (
 	"pblparallel/internal/obs"
 )
 
+// keyOf hashes a canonical request representation the way the serving
+// cache derives its keys.
+func keyOf(canonical []byte) Key {
+	return NewKey(sha256.Sum256(canonical))
+}
+
 // openTest opens a store over a fresh temp directory with a private
 // metrics registry, closing it when the test ends.
 func openTest(t *testing.T, dir string, o Options) *Store {
@@ -45,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
 	body := []byte(`{"seed": 7, "speedup": 3.4}`)
-	k := KeyOf([]byte("run|seed=7"))
+	k := keyOf([]byte("run|seed=7"))
 
 	if _, ok, healed := s.Get(context.Background(), k); ok || healed {
 		t.Fatalf("Get before Put: ok=%v healed=%v, want miss", ok, healed)
@@ -75,7 +81,7 @@ func TestReopen(t *testing.T) {
 	s1 := openTest(t, dir, Options{})
 	const n = 20
 	for i := 0; i < n; i++ {
-		k := KeyOf([]byte(fmt.Sprintf("run|seed=%d", i)))
+		k := keyOf([]byte(fmt.Sprintf("run|seed=%d", i)))
 		s1.Put(k, []byte(fmt.Sprintf(`{"seed": %d}`, i)))
 	}
 	s1.Close()
@@ -85,7 +91,7 @@ func TestReopen(t *testing.T) {
 		t.Fatalf("reopened entries = %d, want %d", st.Entries, n)
 	}
 	for i := 0; i < n; i++ {
-		k := KeyOf([]byte(fmt.Sprintf("run|seed=%d", i)))
+		k := keyOf([]byte(fmt.Sprintf("run|seed=%d", i)))
 		got, ok, _ := s2.Get(context.Background(), k)
 		if !ok || !bytes.Equal(got, []byte(fmt.Sprintf(`{"seed": %d}`, i))) {
 			t.Fatalf("seed %d after reopen: ok=%v body=%q", i, ok, got)
@@ -124,7 +130,7 @@ func TestEviction(t *testing.T) {
 	const n = 16
 	keys := make([]Key, n)
 	for i := range keys {
-		keys[i] = KeyOf([]byte(fmt.Sprintf("evict|%d", i)))
+		keys[i] = keyOf([]byte(fmt.Sprintf("evict|%d", i)))
 		body := make([]byte, 0, 1024)
 		chain := keys[i].Sum
 		for len(body) < 1024 {
@@ -163,7 +169,7 @@ func TestEviction(t *testing.T) {
 func TestRealCorruptionHealed(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
-	k := KeyOf([]byte("corrupt-me"))
+	k := keyOf([]byte("corrupt-me"))
 	s.Put(k, []byte(`{"seed": 1, "speedup": 2.0}`))
 	s.Flush()
 
@@ -200,13 +206,13 @@ func TestRealCorruptionHealed(t *testing.T) {
 func TestWrongKeyFile(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
-	ka := KeyOf([]byte("entry-a"))
+	ka := keyOf([]byte("entry-a"))
 	s.Put(ka, []byte("payload A"))
 	s.Flush()
 	s.Close()
 
 	// Cross-link: entry A's bytes under key B's name.
-	kb := KeyOf([]byte("entry-b"))
+	kb := keyOf([]byte("entry-b"))
 	raw, err := os.ReadFile(filepath.Join(dir, ka.Hex[:2], ka.Hex+entrySuffix))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +238,7 @@ func TestInjectedCorruptionHealed(t *testing.T) {
 	dir := t.TempDir()
 	inj := testInjector(t, fault.Rule{Site: fault.SiteStoreCorrupt, Kind: fault.CacheCorrupt, Prob: 1})
 	s := openTest(t, dir, Options{Injector: inj})
-	k := KeyOf([]byte("injected-corrupt"))
+	k := keyOf([]byte("injected-corrupt"))
 	s.Put(k, []byte("precious bytes"))
 	s.Flush()
 
@@ -254,7 +260,7 @@ func TestInjectedReadError(t *testing.T) {
 	dir := t.TempDir()
 	inj := testInjector(t, fault.Rule{Site: fault.SiteStoreRead, Kind: fault.DiskReadErr, Prob: 1})
 	s := openTest(t, dir, Options{Injector: inj})
-	k := KeyOf([]byte("read-err"))
+	k := keyOf([]byte("read-err"))
 	body := []byte("still here")
 	s.Put(k, body)
 	s.Flush()
@@ -280,7 +286,7 @@ func TestInjectedWriteError(t *testing.T) {
 	dir := t.TempDir()
 	inj := testInjector(t, fault.Rule{Site: fault.SiteStoreWrite, Kind: fault.DiskWriteErr, Prob: 1})
 	s := openTest(t, dir, Options{Injector: inj})
-	k := KeyOf([]byte("write-err"))
+	k := keyOf([]byte("write-err"))
 	s.Put(k, []byte("never lands"))
 	s.Flush()
 
@@ -299,7 +305,7 @@ func TestInjectedWriteError(t *testing.T) {
 func TestPutAfterCloseIsSilent(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{})
 	s.Close()
-	s.Put(KeyOf([]byte("late")), []byte("dropped"))
+	s.Put(keyOf([]byte("late")), []byte("dropped"))
 	s.Flush()
 	s.Close() // idempotent
 }
@@ -318,7 +324,7 @@ func TestConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				k := KeyOf([]byte(fmt.Sprintf("conc|%d", i%16)))
+				k := keyOf([]byte(fmt.Sprintf("conc|%d", i%16)))
 				switch i % 3 {
 				case 0:
 					s.Put(k, []byte(fmt.Sprintf(`{"i": %d}`, i%16)))
@@ -337,7 +343,7 @@ func TestConcurrent(t *testing.T) {
 // trailing-garbage and short-header corruption classes the file-level
 // tests cannot hit precisely.
 func TestEncodeDecode(t *testing.T) {
-	k := KeyOf([]byte("codec"))
+	k := keyOf([]byte("codec"))
 	body := bytes.Repeat([]byte("the same bytes at any worker count; "), 64)
 	var buf bytes.Buffer
 	if err := encodeEntry(k, body, &buf); err != nil {
@@ -387,7 +393,7 @@ func TestEncodeDecode(t *testing.T) {
 // (the daemon's heal path keys on it), and any accepted body must
 // survive an encode/decode round trip unchanged.
 func FuzzDecodeEntry(f *testing.F) {
-	k := KeyOf([]byte("fuzz"))
+	k := keyOf([]byte("fuzz"))
 	var valid bytes.Buffer
 	if err := encodeEntry(k, []byte(`{"seed": 7, "workers": 8}`), &valid); err != nil {
 		f.Fatal(err)

@@ -21,7 +21,7 @@ import (
 func TestTornWriteRecovery(t *testing.T) {
 	// One full entry image to truncate, produced by a throwaway store.
 	seed := openTest(t, t.TempDir(), Options{})
-	k := KeyOf([]byte("torn-write-victim"))
+	k := keyOf([]byte("torn-write-victim"))
 	body := []byte(`{"seed": 42, "students": 16, "speedup": 3.1}`)
 	seed.Put(k, body)
 	seed.Flush()
@@ -80,7 +80,7 @@ func TestTornWriteRecovery(t *testing.T) {
 // removes and never indexes — at any truncation of the temp image.
 func TestTornTempFileNeverVisible(t *testing.T) {
 	seed := openTest(t, t.TempDir(), Options{})
-	k := KeyOf([]byte("torn-temp"))
+	k := keyOf([]byte("torn-temp"))
 	seed.Put(k, []byte("half-written"))
 	seed.Flush()
 	raw, err := os.ReadFile(seed.path(k.Hex))
